@@ -11,7 +11,7 @@ from .exponents import (FSequence, KroneckerQuery, OrbitEvaluator,
                         induced_circle_map, kronecker_solve, probe_exponent,
                         scan_almost_periods)
 from .groups import (BSequence, FinGenSubgroup, build_b_sequence,
-                     decide_equivalence, torsion_free_rank)
+                     decide_equivalence)
 from .circle import (CircleLift, DenjoyMap, SuspensionPoint, build_denjoy,
                      mu_rotation, rotation_lift, rotation_number,
                      suspension_flow, suspension_semiconjugacy)
@@ -30,7 +30,6 @@ __all__ = [
     "build_breaker_sequence", "find_f_sequences", "induced_circle_map",
     "kronecker_solve", "probe_exponent", "scan_almost_periods",
     "BSequence", "FinGenSubgroup", "build_b_sequence", "decide_equivalence",
-    "torsion_free_rank",
     "CircleLift", "DenjoyMap", "SuspensionPoint", "build_denjoy",
     "mu_rotation", "rotation_lift", "rotation_number", "suspension_flow",
     "suspension_semiconjugacy",

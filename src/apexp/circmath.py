@@ -16,10 +16,9 @@ __all__ = [
     "METRIC_EUCLIDEAN",
     "METRIC_TORUS",
     "METRIC_CYLINDER",
-    "point_dist",
+    "dist",
 ]
 
-# metric codes shared with the jit kernels
 METRIC_EUCLIDEAN = 0  # plain euclidean on R^d
 METRIC_TORUS = 1      # max of d1 per coordinate
 METRIC_CYLINDER = 2   # d1 on first coordinate, euclidean on the rest
@@ -36,20 +35,22 @@ def circle_dist(a, b):
     return d if d <= 0.5 else 1.0 - d
 
 
-def point_dist(p, q, kind: int) -> float:
-    """Distance between two points given a metric code."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+def dist(a, b, kind: int):
+    """Distance between points a and b in the metric with the given code.
+
+    Coordinates run along the last axis; leading axes broadcast, so an
+    (n, d) array against a (d,) point gives n distances.
+    """
+    diff = np.atleast_1d(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     if kind == METRIC_EUCLIDEAN:
-        return float(np.linalg.norm(p - q))
+        return np.sqrt((diff ** 2).sum(axis=-1))
     if kind == METRIC_TORUS:
-        d = np.abs((p - q) % 1.0)
-        d = np.minimum(d, 1.0 - d)
-        return float(d.max())
+        d = diff % 1.0
+        return np.minimum(d, 1.0 - d).max(axis=-1)
     if kind == METRIC_CYLINDER:
-        d0 = circle_dist(p[0], q[0])
-        rest = float(np.linalg.norm(p[1:] - q[1:])) if p.size > 1 else 0.0
-        return max(d0, rest)
+        d = diff[..., 0] % 1.0
+        return np.maximum(np.minimum(d, 1.0 - d),
+                          np.sqrt((diff[..., 1:] ** 2).sum(axis=-1)))
     raise ValueError(f"unknown metric code {kind}")
 
 

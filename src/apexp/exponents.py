@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circmath import (circle_dist, circular_mean, circular_spread, frac,
-                       point_dist)
+from .circmath import circle_dist, circular_mean, circular_spread, dist, frac
+from .groups import VerificationError
 from .kernels import almost_period_sup, kron_scan_grid, kron_scan_integer
 from .realfield import RealVector
 
@@ -64,24 +64,12 @@ class OrbitEvaluator:
     forward_only: bool = False  # restrict searches to t >= 0 (semi-orbits)
 
     def metric(self, p, q) -> float:
-        return point_dist(p, q, self.metric_kind)
+        return float(dist(p, q, self.metric_kind))
 
     def batch(self, ts: np.ndarray) -> np.ndarray:
         if self.eval_batch is not None:
             return np.asarray(self.eval_batch(np.asarray(ts, dtype=float)))
         return np.array([np.atleast_1d(self.eval(float(t))) for t in ts])
-
-    def dists_to(self, pts: np.ndarray, target) -> np.ndarray:
-        target = np.atleast_1d(np.asarray(target, dtype=float))
-        if self.metric_kind == 0:
-            return np.sqrt(((pts - target) ** 2).sum(axis=1))
-        if self.metric_kind == 1:
-            d = np.abs((pts - target) % 1.0)
-            return np.minimum(d, 1.0 - d).max(axis=1)
-        d0 = np.abs((pts[:, 0] - target[0]) % 1.0)
-        d0 = np.minimum(d0, 1.0 - d0)
-        rest = np.sqrt(((pts[:, 1:] - target[1:]) ** 2).sum(axis=1))
-        return np.maximum(d0, rest)
 
 
 @dataclass
@@ -122,7 +110,7 @@ def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
         raise ValueError("count must be >= 1")
     ts = np.arange(t_min, t_max, grid)
     pts = orbit.batch(ts)
-    dists = orbit.dists_to(pts, target)
+    dists = dist(pts, target, orbit.metric_kind)
     interior = (dists[1:-1] <= dists[:-2]) & (dists[1:-1] < dists[2:])
     idx = np.nonzero(interior)[0] + 1
     hits = []
@@ -335,7 +323,8 @@ def kronecker_solve(query: KroneckerQuery):
         return None
     # never trust the search: recheck the epsilon
     for v, x in zip(vals, targs):
-        assert circle_dist(v * t, x) < eps, "scan returned a bad time"
+        if not circle_dist(v * t, x) < eps:
+            raise VerificationError(f"scan returned t = {t!r}, not within {eps!r}")
     return float(t)
 
 

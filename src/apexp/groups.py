@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .intlinalg import hnf_rows, rational_rank, solve_rational
+from .intlinalg import hnf_coefficients, hnf_rows, rational_rank, solve_rational
 from .realfield import (RealVector, SymbolBasis, format_rational,
                         parse_rational)
 
@@ -23,9 +23,9 @@ __all__ = [
     "EquivalenceVerdict",
     "DependentGeneratorsError",
     "OutOfSpanError",
+    "VerificationError",
     "build_b_sequence",
     "decide_equivalence",
-    "torsion_free_rank",
 ]
 
 
@@ -35,6 +35,18 @@ class DependentGeneratorsError(ValueError):
 
 class OutOfSpanError(ValueError):
     """An adjoined element lies outside span_Q(B)."""
+
+
+class VerificationError(AssertionError):
+    """A certifying recheck found a result that breaks its specification.
+
+    Raised explicitly, so the check also runs under ``python -O``.
+    """
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise VerificationError(what)
 
 
 class FinGenSubgroup:
@@ -59,7 +71,6 @@ class FinGenSubgroup:
             RealVector(basis_ctx,
                        {j: Fraction(v, self._denom) for j, v in enumerate(row) if v})
             for row in self._hnf]
-        self._basis_dense = [b.dense(n) for b in self._lattice_basis]
 
     @property
     def rank(self) -> int:
@@ -74,10 +85,12 @@ class FinGenSubgroup:
         """Integer coefficients of x over the lattice basis, or None."""
         if x.basis != self.basis_ctx:
             raise ValueError("element uses a different symbol basis")
-        sol = solve_rational(self._basis_dense, x.dense())
-        if sol is None or any(c.denominator != 1 for c in sol):
+        # the lattice basis is the HNF over _denom, so x is a member
+        # exactly when x * _denom is an integer point of the HNF lattice
+        target = [q * self._denom for q in x.dense()]
+        if any(q.denominator != 1 for q in target):
             return None
-        return [int(c) for c in sol]
+        return hnf_coefficients(self._hnf, [q.numerator for q in target])
 
     def contains(self, x: RealVector) -> bool:
         """Exact membership: x = sum n_i g_i for integers n_i."""
@@ -104,11 +117,6 @@ class FinGenSubgroup:
 
     def __repr__(self):
         return f"FinGenSubgroup(rank={self.rank}, generators={self.generators})"
-
-
-def torsion_free_rank(group: FinGenSubgroup) -> int:
-    """Q-dimension of the span of the generators."""
-    return group.rank
 
 
 @dataclass
@@ -144,22 +152,28 @@ class BSequence:
         return FinGenSubgroup(self.basis_ctx, self.b + self.elements)
 
     def verify(self) -> None:
-        """Recheck every structural invariant; raises AssertionError."""
-        assert self.stages[0].basis == self.b
+        """Recheck every structural invariant; raises VerificationError."""
+        _require(self.stages[0].basis == self.b, "stage 1 basis differs from B")
+        for i, stage in enumerate(self.stages, start=1):
+            _require(len(stage.basis) == self.kappa,
+                     f"stage {i} basis does not have kappa vectors")
         for i in range(1, len(self.stages)):
             prev, cur = self.stages[i - 1], self.stages[i]
             mat = cur.matrix
-            assert mat is not None and len(mat) == self.kappa
+            _require(mat is not None and len(mat) == self.kappa,
+                     f"stage {i + 1} bonding matrix does not have kappa rows")
             for r in range(self.kappa):
                 acc = self.basis_ctx.zero()
                 for s in range(self.kappa):
                     acc = acc + cur.basis[s].scale(mat[r][s])
-                assert acc == prev.basis[r], f"stage {i} row {r} identity fails"
-            assert _int_det(mat) != 0
-            assert cur.lattice.contains(self.elements[i])
-            assert all(cur.lattice.contains(v) for v in prev.basis)
-        for stage in self.stages:
-            assert len(stage.basis) == self.kappa
+                _require(acc == prev.basis[r],
+                         f"stage {i + 1} row {r} identity fails")
+            _require(len(hnf_rows(mat)) == self.kappa,
+                     f"stage {i + 1} bonding matrix is singular")
+            _require(cur.lattice.contains(self.elements[i]),
+                     f"stage {i + 1} lattice misses its adjoined element")
+            _require(all(cur.lattice.contains(v) for v in prev.basis),
+                     f"stage {i + 1} lattice misses the stage {i} basis")
 
     def to_json(self) -> dict:
         return {
@@ -176,25 +190,6 @@ class BSequence:
         b = [RealVector.from_json(ctx, v) for v in data["B"]]
         elements = [RealVector.from_json(ctx, v) for v in data["elements"]]
         return build_b_sequence(b, elements, ctx)
-
-
-def _int_det(mat) -> Fraction:
-    m = [[Fraction(v) for v in row] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            for t in range(c, n):
-                m[i][t] -= f * m[c][t]
-    return det
 
 
 def build_b_sequence(b: list[RealVector], elements: list[RealVector],
@@ -236,7 +231,7 @@ def build_b_sequence(b: list[RealVector], elements: list[RealVector],
         mat = []
         for v in prev.basis:
             coeffs = lattice.coefficients(v)
-            assert coeffs is not None, "stage basis does not contain predecessor"
+            _require(coeffs is not None, "stage basis does not contain predecessor")
             mat.append(coeffs)
         stages.append(BStage(basis=basis, matrix=mat, lattice=lattice))
     seq = BSequence(basis_ctx=ctx, b=list(b), elements=list(elements),

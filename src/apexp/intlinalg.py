@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["hnf_rows", "solve_rational", "rational_rank"]
+__all__ = ["hnf_rows", "hnf_coefficients", "solve_rational", "rational_rank"]
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -80,6 +80,51 @@ def _xgcd(a: int, b: int):
     return x0, y0, a
 
 
+def hnf_coefficients(hnf: list[list[int]], target: list[int]):
+    """Integer coefficients c with sum_i c_i * hnf[i] = target, or None
+    when the integer point target is not in the lattice.
+
+    hnf must be in row echelon form, as hnf_rows returns it.  Each pivot
+    fixes its coefficient by floor division and leaves the remainder in
+    its column, which no later row touches; target is a member exactly
+    when nothing is left over at the end.
+    """
+    rest = list(target)
+    coeffs = []
+    for row in hnf:
+        j = _first_nonzero(row)
+        c = rest[j] // row[j]
+        if c:
+            for t in range(j, len(rest)):
+                rest[t] -= c * row[t]
+        coeffs.append(c)
+    return None if any(rest) else coeffs
+
+
+def _eliminate(m, n_cols: int) -> list[int]:
+    """Gauss-Jordan elimination over Q, in place, on the first n_cols
+    columns of the Fraction matrix m (later columns are carried along).
+
+    Returns the pivot columns; row r of the result holds the pivot of
+    column pivots[r] and every other row is zero there.
+    """
+    pivots: list[int] = []
+    for c in range(n_cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        p = m[r][c]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c] / p
+                for t in range(c, len(m[i])):
+                    m[i][t] -= f * m[r][t]
+        pivots.append(c)
+    return pivots
+
+
 def solve_rational(basis_rows, target):
     """Solve sum_i c_i * basis_rows[i] = target over Q.
 
@@ -88,53 +133,19 @@ def solve_rational(basis_rows, target):
     basis rows need not be independent; any valid solution is returned.
     """
     n_rows = len(basis_rows)
-    if n_rows == 0:
-        return [] if all(Fraction(t) == 0 for t in target) else None
-    n_cols = len(target)
     # augmented system A^T c = target, columns of A^T are the basis rows
-    aug = [[Fraction(basis_rows[r][c]) for r in range(n_rows)] + [Fraction(target[c])]
-           for c in range(n_cols)]
-    piv_rows: list[tuple[int, int]] = []  # (row in aug, pivot col among unknowns)
-    r = 0
-    for c in range(n_rows):
-        pr = next((i for i in range(r, n_cols) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        p = aug[r][c]
-        for i in range(n_cols):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c] / p
-                for t in range(c, n_rows + 1):
-                    aug[i][t] -= f * aug[r][t]
-        piv_rows.append((r, c))
-        r += 1
-        if r == n_cols:
-            break
-    for i in range(r, n_cols):
-        if aug[i][n_rows] != 0:
-            return None
+    aug = [[Fraction(row[c]) for row in basis_rows] + [Fraction(t)]
+           for c, t in enumerate(target)]
+    pivots = _eliminate(aug, n_rows)
+    if any(row[n_rows] != 0 for row in aug[len(pivots):]):
+        return None
     sol = [Fraction(0)] * n_rows
-    for row, col in piv_rows:
-        sol[col] = aug[row][n_rows] / aug[row][col]
+    for r, c in enumerate(pivots):
+        sol[c] = aug[r][n_rows] / aug[r][c]
     return sol
 
 
 def rational_rank(rows) -> int:
     """Rank over Q of a matrix given as rows of Fractions/ints."""
     m = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    n_cols = len(m[0]) if m else 0
-    for c in range(n_cols):
-        pr = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        p = m[rank][c]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c] / p
-                for t in range(c, n_cols):
-                    m[i][t] -= f * m[rank][t]
-        rank += 1
-    return rank
+    return len(_eliminate(m, len(m[0]) if m else 0))

@@ -1,166 +1,25 @@
-"""Hot scanning kernels with a numba fast path and a pure-numpy fallback.
-
-Set APEXP_NO_NUMBA=1 in the environment to force the numpy path (the
-results are identical; only speed differs).  The active backend is
-reported in BACKEND.
-"""
+"""Hot scanning kernels, vectorised with numpy over chunks of the range."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .circmath import METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS
+from .circmath import dist
 
 __all__ = ["BACKEND", "kron_scan_grid", "kron_scan_integer", "almost_period_sup"]
 
-_want_numba = os.environ.get("APEXP_NO_NUMBA", "") not in ("1", "true", "yes")
-
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _want_numba = False
-
-BACKEND = "numba" if _want_numba else "numpy"
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------------------
-# reference numpy implementations
-
-def _kron_scan_grid_np(vals, targs, eps, t0, t1, step):
-    n = int(np.floor((t1 - t0) / step)) + 1
-    chunk = 1 << 18
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        ts = t0 + idx * step
-        ok = np.ones(ts.shape, dtype=bool)
-        for v, x in zip(vals, targs):
-            d = np.abs((v * ts - x) % 1.0)
-            d = np.minimum(d, 1.0 - d)
-            ok &= d < eps
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return float(ts[hits[0]])
-    return float("nan")
-
-
-def _kron_scan_integer_np(vals, targs, eps, offset, n0, n1):
-    chunk = 1 << 20
-    for start in range(n0, n1 + 1, chunk):
-        ns = np.arange(start, min(start + chunk, n1 + 1), dtype=np.int64)
-        ts = ns + offset
-        ok = np.ones(ts.shape, dtype=bool)
-        for v, x in zip(vals, targs):
-            d = np.abs((v * ts - x) % 1.0)
-            d = np.minimum(d, 1.0 - d)
-            ok &= d < eps
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return float(ts[hits[0]])
-    return float("nan")
-
-
-def _almost_period_sup_np(pts, n_tau, kind):
-    n = pts.shape[0]
-    base = n - n_tau  # t ranges over the first base samples for every shift
-    out = np.empty(n_tau)
-    for k in range(1, n_tau + 1):
-        a = pts[:base]
-        b = pts[k:k + base]
-        if kind == METRIC_EUCLIDEAN:
-            d = np.sqrt(((a - b) ** 2).sum(axis=1))
-        elif kind == METRIC_TORUS:
-            d = np.abs((a - b) % 1.0)
-            d = np.minimum(d, 1.0 - d).max(axis=1)
-        else:  # METRIC_CYLINDER
-            d0 = np.abs((a[:, 0] - b[:, 0]) % 1.0)
-            d0 = np.minimum(d0, 1.0 - d0)
-            rest = np.sqrt(((a[:, 1:] - b[:, 1:]) ** 2).sum(axis=1))
-            d = np.maximum(d0, rest)
-        out[k - 1] = d.max()
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if _want_numba:
-
-    @njit(cache=True)
-    def _kron_scan_grid_nb(vals, targs, eps, t0, t1, step):
-        n = int(np.floor((t1 - t0) / step)) + 1
-        m = vals.shape[0]
-        for i in range(n):
-            t = t0 + i * step
-            ok = True
-            for j in range(m):
-                d = abs((vals[j] * t - targs[j]) % 1.0)
-                if d > 0.5:
-                    d = 1.0 - d
-                if d >= eps:
-                    ok = False
-                    break
-            if ok:
-                return t
-        return np.nan
-
-    @njit(cache=True)
-    def _kron_scan_integer_nb(vals, targs, eps, offset, n0, n1):
-        m = vals.shape[0]
-        for k in range(n0, n1 + 1):
-            t = k + offset
-            ok = True
-            for j in range(m):
-                d = abs((vals[j] * t - targs[j]) % 1.0)
-                if d > 0.5:
-                    d = 1.0 - d
-                if d >= eps:
-                    ok = False
-                    break
-            if ok:
-                return t
-        return np.nan
-
-    @njit(cache=True)
-    def _almost_period_sup_nb(pts, n_tau, kind):
-        n = pts.shape[0]
-        dim = pts.shape[1]
-        base = n - n_tau
-        out = np.empty(n_tau)
-        for k in range(1, n_tau + 1):
-            worst = 0.0
-            for i in range(base):
-                if kind == 0:
-                    s = 0.0
-                    for c in range(dim):
-                        diff = pts[i, c] - pts[i + k, c]
-                        s += diff * diff
-                    d = np.sqrt(s)
-                elif kind == 1:
-                    d = 0.0
-                    for c in range(dim):
-                        dc = abs((pts[i, c] - pts[i + k, c]) % 1.0)
-                        if dc > 0.5:
-                            dc = 1.0 - dc
-                        if dc > d:
-                            d = dc
-                else:
-                    d = abs((pts[i, 0] - pts[i + k, 0]) % 1.0)
-                    if d > 0.5:
-                        d = 1.0 - d
-                    s = 0.0
-                    for c in range(1, dim):
-                        diff = pts[i, c] - pts[i + k, c]
-                        s += diff * diff
-                    s = np.sqrt(s)
-                    if s > d:
-                        d = s
-                if d > worst:
-                    worst = d
-            out[k - 1] = worst
-        return out
+def _first_hit(ts, vals, targs, eps):
+    """First t in ts with every frac(vals[j]*t) within eps of targs[j]
+    on the circle, or None."""
+    ok = np.ones(ts.shape, dtype=bool)
+    for v, x in zip(vals, targs):
+        d = (v * ts - x) % 1.0
+        ok &= np.minimum(d, 1.0 - d) < eps
+    hits = np.nonzero(ok)[0]
+    return float(ts[hits[0]]) if hits.size else None
 
 
 def kron_scan_grid(vals, targs, eps, t0, t1, step) -> float:
@@ -168,26 +27,39 @@ def kron_scan_grid(vals, targs, eps, t0, t1, step) -> float:
     coordinate frac(vals[j]*t) within eps of targs[j]; NaN if none."""
     vals = np.asarray(vals, dtype=float)
     targs = np.asarray(targs, dtype=float)
-    if _want_numba:
-        return float(_kron_scan_grid_nb(vals, targs, eps, t0, t1, step))
-    return _kron_scan_grid_np(vals, targs, eps, t0, t1, step)
+    n = int(np.floor((t1 - t0) / step)) + 1
+    chunk = 1 << 18
+    for start in range(0, n, chunk):
+        ts = t0 + np.arange(start, min(start + chunk, n)) * step
+        t = _first_hit(ts, vals, targs, eps)
+        if t is not None:
+            return t
+    return float("nan")
 
 
 def kron_scan_integer(vals, targs, eps, offset, n0, n1) -> float:
     """Like kron_scan_grid but over t = n + offset for integers n0 <= n <= n1."""
     vals = np.asarray(vals, dtype=float)
     targs = np.asarray(targs, dtype=float)
-    if _want_numba:
-        return float(_kron_scan_integer_nb(vals, targs, eps, float(offset), int(n0), int(n1)))
-    return _kron_scan_integer_np(vals, targs, eps, offset, int(n0), int(n1))
+    n0, n1 = int(n0), int(n1)
+    chunk = 1 << 20
+    for start in range(n0, n1 + 1, chunk):
+        ts = np.arange(start, min(start + chunk, n1 + 1), dtype=np.int64) + offset
+        t = _first_hit(ts, vals, targs, eps)
+        if t is not None:
+            return t
+    return float("nan")
 
 
 def almost_period_sup(pts, n_tau, kind) -> np.ndarray:
     """For each shift k = 1..n_tau return the sup of dist(p[i], p[i+k])
     over the sampled orbit points (rows of pts)."""
-    pts = np.ascontiguousarray(pts, dtype=float)
+    pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if _want_numba:
-        return _almost_period_sup_nb(pts, int(n_tau), int(kind))
-    return _almost_period_sup_np(pts, int(n_tau), int(kind))
+    n_tau = int(n_tau)
+    base = pts.shape[0] - n_tau  # t ranges over the first base samples for every shift
+    out = np.empty(n_tau)
+    for k in range(1, n_tau + 1):
+        out[k - 1] = dist(pts[:base], pts[k:k + base], kind).max()
+    return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from .circle import SuspensionPoint, build_denjoy, rotation_number
 from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
-                       circle_dist, frac)
+                       circle_dist, dist, frac)
 from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
                         find_f_sequences, probe_exponent)
 from .groups import build_b_sequence
@@ -123,7 +123,7 @@ def _rational_breaker(q: int, p: int, count: int = 24) -> FSequence:
     times = np.where(i % 2 == 1, q * i + 0.5, q * i + 1.5)
     target = np.array([0.0, 0.5])
     pts = _example1_batch(times.astype(float))
-    profile = np.sqrt(((pts - target) ** 2).sum(axis=1))
+    profile = dist(pts, target, METRIC_EUCLIDEAN)
     return FSequence(times.astype(float), target, profile)
 
 
@@ -303,7 +303,7 @@ def _widest_gap_midpoint(points: np.ndarray) -> tuple[float, float]:
 def _integer_returns(orbit: OrbitEvaluator, base: np.ndarray, n_max: int,
                      tol: float, count: int = 2) -> list[FSequence]:
     ns = np.arange(1, n_max + 1, dtype=float)
-    dists = orbit.dists_to(orbit.batch(ns), base)
+    dists = dist(orbit.batch(ns), base, orbit.metric_kind)
     keep = dists <= tol
     hits, profile = ns[keep], dists[keep]
     return [FSequence(hits[j::count], base, profile[j::count])

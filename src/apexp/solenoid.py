@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circmath import circle_dist, circular_mean, circular_spread, frac
+from .circmath import METRIC_TORUS, circular_mean, circular_spread, dist, frac
+from .exponents import TOL_LIMIT, NonConvergentError
 from .groups import BSequence, FinGenSubgroup
+from .intlinalg import hnf_rows
 from .realfield import RealVector
 
 __all__ = [
@@ -29,19 +31,10 @@ __all__ = [
 ]
 
 TOL_CONSIST = 1e-9
-TOL_LIMIT = 1e-3
 
 
 class InconsistentPointError(ValueError):
     """Stage coordinates fail the bonding-matrix compatibility check."""
-
-
-class NonConvergentError(ValueError):
-    """A coordinate sequence's tail spread exceeds the limit tolerance."""
-
-    def __init__(self, stage: int, coord: int, spread: float):
-        self.stage, self.coord, self.spread = stage, coord, spread
-        super().__init__(f"stage {stage} coord {coord}: tail spread {spread:.3g}")
 
 
 @dataclass
@@ -55,7 +48,7 @@ class SolenoidSystem:
         for m in self.matrices:
             if m.shape != (self.kappa, self.kappa):
                 raise ValueError("bonding matrix has wrong shape")
-            if round(np.linalg.det(m.astype(float))) == 0:
+            if len(hnf_rows(m.tolist())) != self.kappa:
                 raise ValueError("bonding matrix is singular")
         if len(self.stage_bases) != len(self.matrices) + 1:
             raise ValueError("need one stage basis per torus stage")
@@ -109,12 +102,11 @@ class SolenoidPoint:
         self.stages = [np.asarray(s, dtype=float) % 1.0 for s in self.stages]
 
     def consistency_residual(self, system: SolenoidSystem) -> float:
-        worst = 0.0
-        for i, m in enumerate(system.matrices):
-            image = (m @ self.stages[i + 1]) % 1.0
-            for a, b in zip(image, self.stages[i]):
-                worst = max(worst, circle_dist(a, b))
-        return worst
+        if not system.matrices:
+            return 0.0
+        images = [(m @ fine) % 1.0 for m, fine in zip(system.matrices, self.stages[1:])]
+        return float(dist(np.array(images), np.array(self.stages[:-1]),
+                          METRIC_TORUS).max())
 
     def check_consistent(self, system: SolenoidSystem, tol=TOL_CONSIST):
         r = self.consistency_residual(system)
@@ -122,9 +114,8 @@ class SolenoidPoint:
             raise InconsistentPointError(f"consistency residual {r:.3g} > {tol:.3g}")
 
     def dist(self, other: "SolenoidPoint") -> float:
-        return max(circle_dist(a, b)
-                   for sa, sb in zip(self.stages, other.stages)
-                   for a, b in zip(sa, sb))
+        return float(dist(np.array(self.stages), np.array(other.stages),
+                          METRIC_TORUS).max())
 
 
 def zero_point(system: SolenoidSystem) -> SolenoidPoint:
@@ -186,7 +177,8 @@ def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
         pts = [orbit.eval(t) for t in times[-tail:]]
         spread = max(orbit.metric(p, q) for p in pts for q in pts)
         if spread > tol_orbit:
-            raise NonConvergentError(-1, -1, spread)
+            raise NonConvergentError(
+                f"times are not an f-sequence: orbit tail spread {spread:.3g}")
     stages = []
     for i, basis in enumerate(seq.stages):
         coords = []
@@ -194,7 +186,8 @@ def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
             trace = frac(v.eval() * times)[-tail:]
             spread = circular_spread(trace)
             if spread > tol_limit:
-                raise NonConvergentError(i, j, spread)
+                raise NonConvergentError(
+                    f"stage {i} coord {j}: tail spread {spread:.3g}")
             coords.append(circular_mean(trace))
         stages.append(np.array(coords))
     return SolenoidPoint(stages)

@@ -205,6 +205,15 @@ class TestKroneckerSolve:
                            epsilon=0.01, search_bound=2000)
         assert kronecker_solve(q) is None
 
+    def test_post_check_rejects_a_bad_scan(self, monkeypatch):
+        from apexp import exponents
+        from apexp.groups import VerificationError
+        monkeypatch.setattr(exponents, "kron_scan_integer", lambda *args: 3.0)
+        q = KroneckerQuery(frequencies=[1.0, THETA], targets=[0.25, 0.5],
+                           epsilon=0.01, search_bound=1e5)
+        with pytest.raises(VerificationError):
+            kronecker_solve(q)
+
     def test_negate_time(self):
         q = KroneckerQuery(frequencies=[THETA], targets=[0.3], epsilon=0.01,
                            search_bound=1e4, t_min=1.0, negate_time=True)

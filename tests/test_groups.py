@@ -1,13 +1,21 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import apexp
 from apexp.groups import (DependentGeneratorsError, FinGenSubgroup,
-                          OutOfSpanError, build_b_sequence,
-                          decide_equivalence, torsion_free_rank)
+                          OutOfSpanError, VerificationError,
+                          build_b_sequence, decide_equivalence)
+from apexp.intlinalg import solve_rational
 from apexp.realfield import SymbolBasis
 
 
@@ -37,6 +45,10 @@ class TestMembership:
     def test_denominator_obstruction(self, ctx):
         g = FinGenSubgroup(ctx, [ctx.symbol("1"), ctx.symbol("sqrt2")])
         assert ctx.vector({"1": "1/2"}) not in g
+
+    def test_outside_the_span(self, ctx):
+        g = FinGenSubgroup(ctx, [ctx.symbol("1")])
+        assert ctx.symbol("sqrt2") not in g
 
     def test_gcd_of_rationals(self, ctx):
         g = FinGenSubgroup(ctx, [ctx.vector({"1": "2/3"}),
@@ -70,6 +82,32 @@ class TestMembership:
                 # (a negative oracle at small bound proves nothing)
 
 
+THREE = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0)),
+                     ("sqrt3", math.sqrt(3.0))], check_independence=False)
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+three_vectors = st.builds(
+    lambda a, b, c: THREE.vector({"1": a, "sqrt2": b, "sqrt3": c}),
+    small_rationals, small_rationals, small_rationals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(three_vectors, min_size=1, max_size=4),
+       st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+def test_back_substitution_matches_rational_solve(gens, mult):
+    g = FinGenSubgroup(THREE, gens)
+    x = sum((v.scale(c) for v, c in zip(gens, mult)), THREE.zero())
+    coeffs = g.coefficients(x)
+    assert coeffs is not None
+    basis = g.basis()
+    assert sum((b.scale(c) for b, c in zip(basis, coeffs)), THREE.zero()) == x
+    assert coeffs == solve_rational([b.dense() for b in basis], x.dense())
+    # denominators <= 12 never reach 101, so this point is off the lattice
+    assert g.coefficients(x + THREE.vector({"1": Fraction(1, 101)})) is None
+    # half a basis vector is in the Q-span but not in the lattice
+    if basis:
+        assert g.coefficients(x + basis[0].scale(Fraction(1, 2))) is None
+
+
 class TestBasis:
     def test_collapses_to_gcd(self, ctx):
         g = FinGenSubgroup(ctx, [ctx.symbol("1"), ctx.vector({"1": "1/2"})])
@@ -86,11 +124,11 @@ class TestBasis:
         assert g.basis() == [] and g.is_trivial()
 
     def test_rank(self, ctx):
-        assert torsion_free_rank(
-            FinGenSubgroup(ctx, [ctx.symbol("1"), ctx.symbol("sqrt2")])) == 2
-        assert torsion_free_rank(
-            FinGenSubgroup(ctx, [ctx.symbol("1"), ctx.vector({"1": "1/2"}),
-                                 ctx.vector({"1": "1/3"})])) == 1
+        assert FinGenSubgroup(
+            ctx, [ctx.symbol("1"), ctx.symbol("sqrt2")]).rank == 2
+        assert FinGenSubgroup(
+            ctx, [ctx.symbol("1"), ctx.vector({"1": "1/2"}),
+                  ctx.vector({"1": "1/3"})]).rank == 1
 
 
 class TestBSequence:
@@ -157,6 +195,42 @@ class TestBSequence:
                 # two-sided: stage basis in <gens>, gens in stage lattice
                 ref = FinGenSubgroup(big, gens)
                 assert ref.same_group(stage.lattice)
+
+    def test_corrupted_matrix_fails_verify(self, ctx):
+        elements = [ctx.zero(), ctx.vector({"1": "1/2"})]
+        seq = build_b_sequence([ctx.symbol("1")], elements, ctx)
+        seq.stages[1].matrix = [[5]]
+        with pytest.raises(VerificationError, match="identity fails"):
+            seq.verify()
+
+    def test_verify_runs_under_optimize(self, tmp_path):
+        """The tower checks raise explicitly, so python -O keeps them."""
+        code = textwrap.dedent("""
+            import sys
+            from fractions import Fraction
+            from apexp import SymbolBasis, build_b_sequence
+            from apexp.groups import VerificationError
+            assert False  # stripped under -O
+            ctx = SymbolBasis([("1", 1.0)])
+            one = ctx.symbol("1")
+            seq = build_b_sequence([one], [ctx.zero(), one.scale(Fraction(1, 2))], ctx)
+            seq.stages[1].matrix = [[5]]
+            try:
+                seq.verify()
+            except VerificationError as e:
+                print("caught", e)
+                sys.exit(0)
+            sys.exit("corrupted tower verified")
+            """)
+        # the source root of the package under test, so the child imports
+        # the same apexp wherever pytest was started from
+        src_root = Path(apexp.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env={"PATH": os.environ.get("PATH", os.defpath),
+                                  "PYTHONPATH": str(src_root)},
+                             capture_output=True, text=True, cwd=tmp_path)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("caught")
 
     def test_json_roundtrip(self, ctx):
         elements = [ctx.zero(), ctx.vector({"1": "1/2"}),

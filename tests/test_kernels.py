@@ -1,64 +1,170 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from apexp import kernels
-from apexp.circmath import METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS
-from apexp.kernels import (BACKEND, _almost_period_sup_np,
-                           _kron_scan_grid_np, _kron_scan_integer_np,
-                           almost_period_sup, kron_scan_grid,
-                           kron_scan_integer)
+from apexp.circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
+                            dist)
+from apexp.kernels import almost_period_sup, kron_scan_grid, kron_scan_integer
+
+# ---------------------------------------------------------------------------
+# brute-force oracles in pure Python, one point or one time at a time
 
 
-def test_backend_reported():
-    assert BACKEND in ("numba", "numpy")
+def _circ(d):
+    d = d % 1.0
+    return min(d, 1.0 - d)
+
+
+def _hits(vals, targs, eps, t):
+    return all(_circ(v * t - x) < eps for v, x in zip(vals, targs))
+
+
+def oracle_scan_grid(vals, targs, eps, t0, t1, step):
+    for i in range(math.floor((t1 - t0) / step) + 1):
+        t = t0 + i * step
+        if _hits(vals, targs, eps, t):
+            return t
+    return math.nan
+
+
+def oracle_scan_integer(vals, targs, eps, offset, n0, n1):
+    for n in range(n0, n1 + 1):
+        t = n + offset
+        if _hits(vals, targs, eps, t):
+            return t
+    return math.nan
+
+
+def oracle_dist(p, q, kind):
+    circ = [_circ(a - b) for a, b in zip(p, q)]
+    if kind == METRIC_EUCLIDEAN:
+        return math.sqrt(sum((a - b) ** 2 for a, b in zip(p, q)))
+    if kind == METRIC_TORUS:
+        return max(circ)
+    return max(circ[0], math.sqrt(sum((a - b) ** 2 for a, b in zip(p[1:], q[1:]))))
+
+
+def same(got, ref):
+    """Bit-exact equality, with NaN (no hit) equal to NaN."""
+    return got == ref or (math.isnan(got) and math.isnan(ref))
 
 
 class TestBackendAgreement:
-    """The public wrappers must agree with the reference numpy
-    implementations bit-for-bit whichever backend is active."""
+    """The numpy kernels agree with the brute-force oracles above: the
+    scans bit for bit, the almost-period sweep within 1e-12."""
 
     def test_grid_scan(self):
-        vals = np.array([math.sqrt(2.0) / 2.0, math.sqrt(3.0)])
-        targs = np.array([0.1, 0.7])
+        vals = [math.sqrt(2.0) / 2.0, math.sqrt(3.0)]
+        targs = [0.1, 0.7]
         for eps in (0.2, 0.05, 0.01):
             got = kron_scan_grid(vals, targs, eps, 0.0, 5e3, eps / 8.0)
-            ref = _kron_scan_grid_np(vals, targs, eps, 0.0, 5e3, eps / 8.0)
-            assert got == ref and not np.isnan(got)
+            assert not math.isnan(got)
+            assert got == oracle_scan_grid(vals, targs, eps, 0.0, 5e3, eps / 8.0)
+
+    def test_grid_scan_past_first_chunk(self):
+        # the first hit lies beyond the first 2**18 grid points
+        vals = [math.sqrt(2.0) / 2.0, math.sqrt(3.0)]
+        targs = [0.05, 0.7]
+        eps = 0.002
+        got = kron_scan_grid(vals, targs, eps, 0.0, 5e3, eps / 8.0)
+        assert got > 2 ** 18 * eps / 8.0
+        assert got == oracle_scan_grid(vals, targs, eps, 0.0, 5e3, eps / 8.0)
 
     def test_grid_scan_miss(self):
-        vals = np.array([1.0, 2.0])
-        targs = np.array([0.0, 0.5])  # unreachable combination
+        vals = [1.0, 2.0]
+        targs = [0.0, 0.5]  # unreachable combination
         got = kron_scan_grid(vals, targs, 0.01, 0.0, 100.0, 0.001)
-        assert np.isnan(got)
-        assert np.isnan(_kron_scan_grid_np(vals, targs, 0.01, 0.0, 100.0,
-                                           0.001))
+        assert math.isnan(got)
+        assert math.isnan(oracle_scan_grid(vals, targs, 0.01, 0.0, 100.0, 0.001))
+
+    def test_scan_ranges_include_their_end(self):
+        assert kron_scan_grid([1.0], [0.5], 0.01, 0.0, 0.5, 0.25) == 0.5
+        assert kron_scan_integer([0.5], [0.5], 0.01, 0.0, 2, 3) == 3.0
 
     def test_integer_scan(self):
-        vals = np.array([math.sqrt(2.0) / 2.0])
-        targs = np.array([0.3])
+        vals = [math.sqrt(2.0) / 2.0]
+        targs = [0.3]
         for eps in (0.1, 0.01, 0.002):
             got = kron_scan_integer(vals, targs, eps, 0.25, 1, 10 ** 6)
-            ref = _kron_scan_integer_np(vals, targs, eps, 0.25, 1, 10 ** 6)
-            assert got == ref and not np.isnan(got)
-            assert got == int(got) + 0.25
+            assert not math.isnan(got) and got == int(got) + 0.25
+            assert got == oracle_scan_integer(vals, targs, eps, 0.25, 1, 10 ** 6)
 
     def test_integer_scan_negative_range(self):
-        vals = np.array([math.pi])
-        targs = np.array([0.4])
+        vals = [math.pi]
+        targs = [0.4]
         got = kron_scan_integer(vals, targs, 0.05, 0.0, -500, 500)
-        ref = _kron_scan_integer_np(vals, targs, 0.05, 0.0, -500, 500)
-        assert got == ref
+        assert got < 0
+        assert got == oracle_scan_integer(vals, targs, 0.05, 0.0, -500, 500)
+
+    def test_integer_scan_seeded(self):
+        rng = random.Random(5)
+        firsts = set()
+        for _ in range(12):
+            d = rng.randint(0, 2)
+            vals = [math.sqrt(rng.choice([2, 3, 5, 7, 11])) / rng.randint(1, 4)
+                    for _ in range(d)]
+            targs = [rng.random() for _ in range(d)]
+            eps = rng.choice([0.2, 0.05, 0.01])
+            offset = rng.random()
+            n0 = rng.randint(-2000, 2000)
+            n1 = n0 + rng.randint(0, 3000)
+            got = kron_scan_integer(vals, targs, eps, offset, n0, n1)
+            ref = oracle_scan_integer(vals, targs, eps, offset, n0, n1)
+            assert same(got, ref), (vals, targs, eps, offset, n0, n1)
+            if not math.isnan(got):
+                firsts.add(got)
+        assert len(firsts) > 6  # the cases do not all share one answer
+
+    def test_grid_scan_seeded(self):
+        rng = random.Random(8)
+        firsts = set()
+        for _ in range(12):
+            vals = [math.sqrt(rng.choice([2, 3, 5, 7])) * rng.choice([-1, 1])
+                    for _ in range(rng.randint(1, 2))]
+            targs = [rng.random() for _ in vals]
+            eps = rng.choice([0.2, 0.05, 0.02])
+            t0 = rng.uniform(-50.0, 50.0)
+            step = eps / rng.choice([4.0, 8.0])
+            got = kron_scan_grid(vals, targs, eps, t0, t0 + 200.0, step)
+            ref = oracle_scan_grid(vals, targs, eps, t0, t0 + 200.0, step)
+            assert same(got, ref), (vals, targs, eps, t0, step)
+            if not math.isnan(got):
+                firsts.add(got)
+        assert len(firsts) > 6
 
     @pytest.mark.parametrize("kind", [METRIC_EUCLIDEAN, METRIC_TORUS,
                                       METRIC_CYLINDER])
     def test_almost_period_sup(self, kind):
         rng = np.random.default_rng(9)
-        pts = rng.uniform(0, 1, size=(400, 3))
-        got = almost_period_sup(pts, 150, kind)
-        ref = _almost_period_sup_np(pts, 150, kind)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+        pts = rng.uniform(0, 1, size=(120, 3))
+        n_tau = 50
+        base = len(pts) - n_tau
+        ref = [max(oracle_dist(pts[i], pts[i + k], kind) for i in range(base))
+               for k in range(1, n_tau + 1)]
+        np.testing.assert_allclose(almost_period_sup(pts, n_tau, kind), ref,
+                                   rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,d", [(METRIC_EUCLIDEAN, 1), (METRIC_EUCLIDEAN, 3),
+                                    (METRIC_TORUS, 1), (METRIC_TORUS, 3),
+                                    (METRIC_CYLINDER, 1), (METRIC_CYLINDER, 2),
+                                    (METRIC_CYLINDER, 3)])
+def test_dist_matches_scalar_loop(kind, d):
+    rng = np.random.default_rng(10 * kind + d)
+    a = rng.uniform(-3, 3, size=(40, d))
+    b = rng.uniform(-3, 3, size=(40, d))
+    ref = [oracle_dist(p, q, kind) for p, q in zip(a, b)]
+    rows = dist(a, b, kind)
+    assert rows.shape == (40,)
+    np.testing.assert_allclose(rows, ref, rtol=0, atol=1e-12)
+    # one point against another, and many points against one target
+    assert dist(a[0], b[0], kind).shape == ()
+    np.testing.assert_allclose(dist(a[0], b[0], kind), ref[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dist(a, b[0], kind),
+                               [oracle_dist(p, b[0], kind) for p in a],
+                               rtol=0, atol=1e-12)
 
 
 class TestAlmostPeriodWindow:
@@ -77,24 +183,3 @@ class TestAlmostPeriodWindow:
         sup = almost_period_sup(pts, 5, METRIC_EUCLIDEAN)
         assert sup.shape == (5,)
         assert sup[0] == pytest.approx(1.0 / 19.0)
-
-
-def test_forced_numpy_backend_env(tmp_path):
-    """APEXP_NO_NUMBA=1 makes a fresh interpreter pick the numpy backend
-    without ever importing numba."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    # the source root of the package under test, so the child imports the
-    # same apexp wherever pytest was started from
-    src_root = Path(kernels.__file__).resolve().parents[1]
-    code = ("import sys; import apexp.kernels as k; "
-            "print(k.BACKEND); print('numba' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={"APEXP_NO_NUMBA": "1",
-                              "PATH": os.environ.get("PATH", os.defpath),
-                              "PYTHONPATH": str(src_root)},
-                         capture_output=True, text=True, cwd=tmp_path)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["numpy", "False"]

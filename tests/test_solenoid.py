@@ -85,6 +85,25 @@ def test_stage_identity_enforced(dyadic):
                        stage_bases=[list(s.basis) for s in seq.stages])
 
 
+def _bonded_system(matrix):
+    """kappa-2 system whose stage 1 is matrix times stage 2 = {1, sqrt2}."""
+    ctx = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))])
+    fine = [ctx.symbol("1"), ctx.symbol("sqrt2")]
+    coarse = [fine[0].scale(r0) + fine[1].scale(r1) for r0, r1 in matrix]
+    return SolenoidSystem(kappa=2, matrices=[matrix], stage_bases=[coarse, fine])
+
+
+def test_large_unimodular_matrix_accepted():
+    # det = 1, but the float determinant of these entries rounds to 0
+    m = [[3037000499, 3037000500], [3037000498, 3037000499]]
+    assert _bonded_system(m).matrices[0].tolist() == m
+
+
+def test_singular_matrix_rejected():
+    with pytest.raises(ValueError, match="singular"):
+        _bonded_system([[2, 4], [1, 2]])
+
+
 def test_dual_generators_recover_group(dyadic):
     seq, system = dyadic
     assert system.dual_generator_group().same_group(seq.group())
@@ -138,5 +157,11 @@ class TestSemiconjugacy:
 
     def test_non_convergent_rejected(self):
         times = np.arange(1.0, 13.0) * 0.37
-        with pytest.raises(NonConvergentError):
+        with pytest.raises(NonConvergentError, match=r"stage 0 coord \d"):
             semiconjugacy_to_solenoid(None, self.seq, times)
+
+
+def test_one_convergence_error_and_tolerance():
+    from apexp import exponents, solenoid
+    assert solenoid.NonConvergentError is exponents.NonConvergentError
+    assert solenoid.TOL_LIMIT is exponents.TOL_LIMIT
