@@ -127,9 +127,9 @@ def _cmd_solenoid_flow(args):
     try:
         print("t,stage," + ",".join(f"coord{j}" for j in range(system.kappa)),
               file=out)
-        for t in _t_grid(args.t_grid):
-            pt = pi_solenoid(spec, float(t))
-            for i, stage in enumerate(pt.stages):
+        ts = _t_grid(args.t_grid)
+        for t, stages in zip(ts, pi_solenoid(spec, ts).stages):
+            for i, stage in enumerate(stages):
                 row = ",".join(f"{c:.12f}" for c in stage)
                 print(f"{t:.6f},{i + 1},{row}", file=out)
     finally:

@@ -10,6 +10,7 @@ convergence, so ACCEPTED/REJECTED report strong finite evidence
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -321,9 +322,12 @@ def kronecker_solve(query: KroneckerQuery):
                            float(query.search_bound), step)
     if np.isnan(t):
         return None
-    # never trust the search: recheck the epsilon
+    # never trust the search: recheck the epsilon exactly, on the
+    # Fractions of the float inputs, so rounding in v*t cannot pass
+    ft, feps = Fraction(float(t)), Fraction(eps)
     for v, x in zip(vals, targs):
-        if not circle_dist(v * t, x) < eps:
+        d = (Fraction(float(v)) * ft - Fraction(float(x))) % 1
+        if not min(d, 1 - d) < feps:
             raise VerificationError(f"scan returned t = {t!r}, not within {eps!r}")
     return float(t)
 

@@ -9,6 +9,7 @@ deterministic given their parameters.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+EXP_ARG_MAX = math.log(sys.float_info.max)  # largest x with finite exp(x)
 
 
 @dataclass
@@ -200,7 +202,9 @@ def spiral_orbit(alpha: float, beta: float) -> OrbitEvaluator:
 
     def batch(ts):
         ts = np.asarray(ts, dtype=float)
-        r = 1.0 / (1.0 + np.exp(-ts))
+        # exp(-t) overflows to inf for t < -EXP_ARG_MAX, where r is 0
+        e = np.exp(-ts, out=np.full_like(ts, np.inf), where=ts >= -EXP_ARG_MAX)
+        r = 1.0 / (1.0 + e)
         return np.stack([frac(angle(ts)), r], axis=1)
 
     return OrbitEvaluator(eval=lambda t: batch([t])[0],
@@ -408,8 +412,7 @@ def _run_dyadic_solenoid(params: dict) -> RunReport:
                  [float(s[0]) for s in pt.stages])
 
     ts = np.linspace(-100.0, 100.0, params["n_grid"])
-    worst = max(pi_solenoid(spec, float(t)).consistency_residual(system)
-                for t in ts)
+    worst = pi_solenoid(spec, ts).consistency_residual(system)
     report.check("consistency residual over the grid", worst <= 1e-9, worst)
 
     dual = system.dual_generator_group()

@@ -1,8 +1,10 @@
 """Truncated inverse limits of tori and the linear flow on them.
 
 A SolenoidSystem stores the integer bonding matrices of a staged basis
-construction; points carry one circle-coordinate vector per stage and
-must be compatible under the bonding matrices mod 1.
+construction; a point is one (depth, kappa) array of circle coordinates,
+one row per stage, and must be compatible under the bonding matrices
+mod 1.  Leading axes hold a batch of points, so a grid of times is
+evaluated and checked in one array pass.
 """
 
 from __future__ import annotations
@@ -96,17 +98,19 @@ class SolenoidSystem:
 
 @dataclass
 class SolenoidPoint:
-    stages: list[np.ndarray]  # circle coordinates in [0,1), one vector per stage
+    stages: np.ndarray  # (..., depth, kappa) circle coordinates in [0,1)
 
     def __post_init__(self):
-        self.stages = [np.asarray(s, dtype=float) % 1.0 for s in self.stages]
+        self.stages = np.asarray(self.stages, dtype=float) % 1.0
 
     def consistency_residual(self, system: SolenoidSystem) -> float:
+        """Largest torus distance between stage i and M_i times stage
+        i+1, over all stages and all points of a batch."""
         if not system.matrices:
             return 0.0
-        images = [(m @ fine) % 1.0 for m, fine in zip(system.matrices, self.stages[1:])]
-        return float(dist(np.array(images), np.array(self.stages[:-1]),
-                          METRIC_TORUS).max())
+        fine = self.stages[..., 1:, :, None]
+        images = (np.array(system.matrices) @ fine)[..., 0] % 1.0
+        return float(dist(images, self.stages[..., :-1, :], METRIC_TORUS).max())
 
     def check_consistent(self, system: SolenoidSystem, tol=TOL_CONSIST):
         r = self.consistency_residual(system)
@@ -114,12 +118,11 @@ class SolenoidPoint:
             raise InconsistentPointError(f"consistency residual {r:.3g} > {tol:.3g}")
 
     def dist(self, other: "SolenoidPoint") -> float:
-        return float(dist(np.array(self.stages), np.array(other.stages),
-                          METRIC_TORUS).max())
+        return float(dist(self.stages, other.stages, METRIC_TORUS).max())
 
 
 def zero_point(system: SolenoidSystem) -> SolenoidPoint:
-    return SolenoidPoint([np.zeros(system.kappa) for _ in range(system.depth)])
+    return SolenoidPoint(np.zeros((system.depth, system.kappa)))
 
 
 @dataclass
@@ -133,14 +136,19 @@ class LinearFlowSpec:
             self.omega = list(stage1)
         elif list(self.omega) != list(stage1):
             raise ValueError("omega must equal the stage-1 basis")
-        # frequency values per stage, precomputed for speed
-        self._freqs = [np.array([v.eval() for v in basis])
-                       for basis in self.system.stage_bases]
+        # (depth, kappa) frequency values, precomputed for speed
+        self._freqs = np.array([[v.eval() for v in basis]
+                                for basis in self.system.stage_bases])
 
 
-def pi_solenoid(spec: LinearFlowSpec, t: float) -> SolenoidPoint:
-    """The one-parameter subgroup point: stage i coord j = frac(t * b_j^i)."""
-    return SolenoidPoint([frac(t * f) for f in spec._freqs])
+def pi_solenoid(spec: LinearFlowSpec, t) -> SolenoidPoint:
+    """The one-parameter subgroup point: stage i coord j = frac(t * b_j^i).
+
+    t is a time or a 1-D array of times; an array gives a batch of
+    points with stages of shape (len(t), depth, kappa).
+    """
+    t = np.asarray(t, dtype=float)
+    return SolenoidPoint(frac(t[..., None, None] * spec._freqs))
 
 
 def flow_step(spec: LinearFlowSpec, t: float, x: SolenoidPoint,
@@ -151,14 +159,13 @@ def flow_step(spec: LinearFlowSpec, t: float, x: SolenoidPoint,
 
 
 def point_add(x: SolenoidPoint, y: SolenoidPoint) -> SolenoidPoint:
-    if len(x.stages) != len(y.stages) or any(
-            a.shape != b.shape for a, b in zip(x.stages, y.stages)):
+    if x.stages.shape != y.stages.shape:
         raise ValueError("points live on different systems")
-    return SolenoidPoint([(a + b) % 1.0 for a, b in zip(x.stages, y.stages)])
+    return SolenoidPoint((x.stages + y.stages) % 1.0)
 
 
 def point_neg(x: SolenoidPoint) -> SolenoidPoint:
-    return SolenoidPoint([(-a) % 1.0 for a in x.stages])
+    return SolenoidPoint((-x.stages) % 1.0)
 
 
 def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,

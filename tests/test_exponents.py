@@ -214,6 +214,17 @@ class TestKroneckerSolve:
         with pytest.raises(VerificationError):
             kronecker_solve(q)
 
+    def test_post_check_is_exact(self):
+        # near t = 1e7 the float residual of sqrt(2)*t rounds below epsilon,
+        # but the exact residual of the float inputs is 3.25e-9 >= epsilon
+        from apexp.groups import VerificationError
+        q = KroneckerQuery(frequencies=[1.0, math.sqrt(2)],
+                           targets=[0.5, 0.6029156680334374],
+                           epsilon=2.556322598046279e-09, search_bound=1e7,
+                           t_min=9999991.5)
+        with pytest.raises(VerificationError, match="9999991.5"):
+            kronecker_solve(q)
+
     def test_negate_time(self):
         q = KroneckerQuery(frequencies=[THETA], targets=[0.3], epsilon=0.01,
                            search_bound=1e4, t_min=1.0, negate_time=True)

@@ -6,7 +6,8 @@ import pytest
 
 from apexp.circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                             dist)
-from apexp.kernels import almost_period_sup, kron_scan_grid, kron_scan_integer
+from apexp.kernels import (FIRST_CHUNK, _chunks, almost_period_sup,
+                           kron_scan_grid, kron_scan_integer)
 
 # ---------------------------------------------------------------------------
 # brute-force oracles in pure Python, one point or one time at a time
@@ -17,24 +18,28 @@ def _circ(d):
     return min(d, 1.0 - d)
 
 
-def _hits(vals, targs, eps, t):
-    return all(_circ(v * t - x) < eps for v, x in zip(vals, targs))
+def _first(ts, vals, targs, eps):
+    """First t of the iterable ts with every frac(vals[j]*t) within eps
+    of targs[j] on the circle; NaN if none.  The test is inlined so the
+    long oracle scans below stay affordable."""
+    pairs = list(zip(vals, targs))
+    for t in ts:
+        for v, x in pairs:
+            d = (v * t - x) % 1.0
+            if not min(d, 1.0 - d) < eps:
+                break
+        else:
+            return t
+    return math.nan
 
 
 def oracle_scan_grid(vals, targs, eps, t0, t1, step):
-    for i in range(math.floor((t1 - t0) / step) + 1):
-        t = t0 + i * step
-        if _hits(vals, targs, eps, t):
-            return t
-    return math.nan
+    n = math.floor((t1 - t0) / step) + 1
+    return _first((t0 + i * step for i in range(n)), vals, targs, eps)
 
 
 def oracle_scan_integer(vals, targs, eps, offset, n0, n1):
-    for n in range(n0, n1 + 1):
-        t = n + offset
-        if _hits(vals, targs, eps, t):
-            return t
-    return math.nan
+    return _first((n + offset for n in range(n0, n1 + 1)), vals, targs, eps)
 
 
 def oracle_dist(p, q, kind):
@@ -145,6 +150,73 @@ class TestBackendAgreement:
                for k in range(1, n_tau + 1)]
         np.testing.assert_allclose(almost_period_sup(pts, n_tau, kind), ref,
                                    rtol=0, atol=1e-12)
+
+
+# first and last point of each of the first three chunks (1024, 2048 and
+# 4096 points)
+CHUNK_EDGES = [0, 2 ** 10 - 1, 2 ** 10, 3 * 2 ** 10 - 1, 3 * 2 ** 10,
+               7 * 2 ** 10 - 1]
+
+
+class TestChunkSchedule:
+    """The scans grow their chunk from FIRST_CHUNK points, doubling up to
+    a cap; hits at the chunk edges, short and empty ranges and a miss
+    past the cap agree bit for bit with the oracles."""
+
+    def test_chunk_sizes(self):
+        assert FIRST_CHUNK == 2 ** 10
+        n = 2 ** 21 + 2 ** 20 + 5000
+        chunks = list(_chunks(n, 2 ** 20))
+        assert [b - a for a, b in chunks] == [2 ** k for k in range(10, 21)] + [
+            2 ** 20, 5000 + 2 ** 10]
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+    # v = 2**-16 makes every v * t exact, so the only hit in range is the
+    # planted point at index k
+
+    @pytest.mark.parametrize("k", CHUNK_EDGES)
+    def test_integer_hit_at_chunk_edge(self, k):
+        n0, offset, v = -3000, 0.25, 2.0 ** -16
+        targ = (v * (n0 + k + offset)) % 1.0
+        args = ([v], [targ], 2.0 ** -17, offset, n0, n0 + 8 * 2 ** 10)
+        got = kron_scan_integer(*args)
+        assert got == n0 + k + offset
+        assert got == oracle_scan_integer(*args)
+
+    @pytest.mark.parametrize("k", CHUNK_EDGES)
+    def test_grid_hit_at_chunk_edge(self, k):
+        t0, step, v = -37.5, 0.5, 2.0 ** -16
+        targ = (v * (t0 + k * step)) % 1.0
+        args = ([v], [targ], 2.0 ** -18, t0, t0 + 8 * 2 ** 10 * step, step)
+        got = kron_scan_grid(*args)
+        assert got == t0 + k * step
+        assert got == oracle_scan_grid(*args)
+
+    def test_range_shorter_than_first_chunk(self):
+        v = 2.0 ** -16
+        hit = ([v], [(v * 300) % 1.0], 2.0 ** -17, 0.0, 5, 300)
+        assert kron_scan_integer(*hit) == oracle_scan_integer(*hit) == 300.0
+        miss = ([v], [(v * 301) % 1.0], 2.0 ** -17, 0.0, 5, 300)
+        assert math.isnan(kron_scan_integer(*miss))
+        assert math.isnan(oracle_scan_integer(*miss))
+        hit = ([v], [(v * 74.5) % 1.0], 2.0 ** -18, 2.0, 74.5, 0.5)
+        assert kron_scan_grid(*hit) == oracle_scan_grid(*hit) == 74.5
+
+    def test_empty_range(self):
+        assert math.isnan(kron_scan_integer([], [], 0.5, 0.0, 5, 4))
+        assert math.isnan(oracle_scan_integer([], [], 0.5, 0.0, 5, 4))
+        assert math.isnan(kron_scan_grid([1.0], [0.0], 0.5, 5.0, 4.0, 0.25))
+        assert math.isnan(oracle_scan_grid([1.0], [0.0], 0.5, 5.0, 4.0, 0.25))
+
+    def test_miss_past_the_cap(self):
+        # frac(1.0 * t) stays 0 on integer times, never near the target 0.5
+        n1 = 2 ** 21 + 5000  # past the 2**20-point cap of the integer scan
+        assert math.isnan(kron_scan_integer([1.0], [0.5], 0.25, 0.0, 0, n1))
+        assert math.isnan(oracle_scan_integer([1.0], [0.5], 0.25, 0.0, 0, n1))
+        t1 = 2.0 ** 19 + 1000  # past the 2**18-point cap of the grid scan
+        assert math.isnan(kron_scan_grid([1.0], [0.5], 0.25, 0.0, t1, 1.0))
+        assert math.isnan(oracle_scan_grid([1.0], [0.5], 0.25, 0.0, t1, 1.0))
 
 
 @pytest.mark.parametrize("kind,d", [(METRIC_EUCLIDEAN, 1), (METRIC_EUCLIDEAN, 3),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestScenarioRuns:
         assert rep.passed
 
 
+def test_long_spiral_run_emits_no_warning():
+    # 80 breakers reach backward times below -709, where exp(-t) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_scenario("spiral", {"breaker_count": 80}).passed
+
+
 class TestOrbitHelpers:
     def test_example1_map_values(self):
         assert np.allclose(example1_map(0.5), [0.75, 0.5])
@@ -89,6 +97,13 @@ class TestOrbitHelpers:
             pred = (b * t + (b - a) * math.log(2.0)) % 1.0
             assert abs(p[1]) < 1e-9
             assert min(abs(p[0] - pred), 1 - abs(p[0] - pred)) < 1e-8
+
+    def test_spiral_far_backward_has_no_overflow(self):
+        orbit = spiral_orbit(math.sqrt(2.0), math.sqrt(3.0))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            pts = orbit.batch([-800.0, -709.0, 0.0])
+        assert pts[0, 1] == 0.0 and 0.0 < pts[1, 1] < 1e-300
+        assert pts[2, 1] == 0.5
 
     def test_spiral_batch_matches_scalar(self):
         orbit = spiral_orbit(math.sqrt(2.0), math.sqrt(3.0))

@@ -43,6 +43,40 @@ def test_consistency_residual_grid(dyadic):
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("which", ["dyadic", "kappa2"])
+def test_pi_solenoid_batch_matches_pointwise(dyadic, which):
+    if which == "dyadic":
+        spec = LinearFlowSpec(dyadic[1])
+    else:  # depth 3, bonding matrices that are not symmetric
+        spec = LinearFlowSpec(_bonded_system([[2, 1], [0, 3]], [[1, 0], [2, 1]]))
+    system = spec.system
+    ts = np.linspace(-100, 100, 501)
+    batch = pi_solenoid(spec, ts)
+    assert batch.stages.shape == (len(ts), system.depth, system.kappa)
+    points = [pi_solenoid(spec, float(t)) for t in ts]
+    assert points[0].stages.shape == (system.depth, system.kappa)
+    stacked = np.stack([p.stages for p in points])
+    assert np.array_equal(batch.stages.view(np.int64), stacked.view(np.int64))
+    # the batch residual is the worst residual of its points
+    residuals = [p.consistency_residual(system) for p in points]
+    assert batch.consistency_residual(system) == max(residuals)
+    if which == "kappa2":
+        assert max(residuals) > 0.0  # rounding in M @ x shows, so the max is real
+    batch.check_consistent(system)
+
+
+def test_corrupted_point_fails_batch_check(dyadic):
+    _, system = dyadic
+    spec = LinearFlowSpec(system)
+    batch = pi_solenoid(spec, np.linspace(-10, 10, 200))
+    batch.stages[137, 3, 0] = (batch.stages[137, 3, 0] + 0.01) % 1.0
+    # the shifted coordinate enters two bonding checks: doubled by [2]
+    # against the coarser stage (0.02), as is against the finer one (0.01)
+    assert batch.consistency_residual(system) == pytest.approx(0.02)
+    with pytest.raises(InconsistentPointError):
+        batch.check_consistent(system)
+
+
 def test_flow_identity_and_cocycle(dyadic):
     _, system = dyadic
     spec = LinearFlowSpec(system)
@@ -85,12 +119,15 @@ def test_stage_identity_enforced(dyadic):
                        stage_bases=[list(s.basis) for s in seq.stages])
 
 
-def _bonded_system(matrix):
-    """kappa-2 system whose stage 1 is matrix times stage 2 = {1, sqrt2}."""
+def _bonded_system(*matrices):
+    """kappa-2 system whose last stage is {1, sqrt2} and whose stage i is
+    matrices[i] times stage i+1."""
     ctx = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))])
-    fine = [ctx.symbol("1"), ctx.symbol("sqrt2")]
-    coarse = [fine[0].scale(r0) + fine[1].scale(r1) for r0, r1 in matrix]
-    return SolenoidSystem(kappa=2, matrices=[matrix], stage_bases=[coarse, fine])
+    bases = [[ctx.symbol("1"), ctx.symbol("sqrt2")]]
+    for m in reversed(matrices):
+        fine = bases[0]
+        bases.insert(0, [fine[0].scale(r0) + fine[1].scale(r1) for r0, r1 in m])
+    return SolenoidSystem(kappa=2, matrices=list(matrices), stage_bases=bases)
 
 
 def test_large_unimodular_matrix_accepted():
