@@ -43,6 +43,17 @@ def test_consistency_residual_grid(dyadic):
     assert worst <= 1e-9
 
 
+def _residual_loop(system, stages):
+    """Reference for consistency_residual: one stage, one coordinate and
+    one matrix entry at a time."""
+    worst = 0.0
+    for m, coarse, fine in zip(system.matrices, stages[:-1], stages[1:]):
+        for r in range(system.kappa):
+            image = sum(int(m[r, s]) * float(fine[s]) for s in range(system.kappa))
+            worst = max(worst, circle_dist(image, float(coarse[r])))
+    return worst
+
+
 @pytest.mark.parametrize("which", ["dyadic", "kappa2"])
 def test_pi_solenoid_batch_matches_pointwise(dyadic, which):
     if which == "dyadic":
@@ -60,6 +71,10 @@ def test_pi_solenoid_batch_matches_pointwise(dyadic, which):
     # the batch residual is the worst residual of its points
     residuals = [p.consistency_residual(system) for p in points]
     assert batch.consistency_residual(system) == max(residuals)
+    # the stacked matmul may sum in another order than the loop: 1e-12 is
+    # far above that rounding and far below the 1e-9 consistency tolerance
+    assert max(residuals) == pytest.approx(
+        max(_residual_loop(system, p.stages) for p in points), rel=0, abs=1e-12)
     if which == "kappa2":
         assert max(residuals) > 0.0  # rounding in M @ x shows, so the max is real
     batch.check_consistent(system)
