@@ -19,11 +19,10 @@ import numpy as np
 from .circle import (SuspensionPoint, build_denjoy, closed_form_lift,
                      rotation_lift, rotation_number, sampled_lift,
                      suspension_flow)
-from .circmath import frac
 from .exponents import KroneckerQuery, kronecker_solve
-from .groups import BSequence, FinGenSubgroup, build_b_sequence, decide_equivalence
+from .groups import FinGenSubgroup, build_b_sequence, decide_equivalence
 from .realfield import RealVector, SymbolBasis, format_rational, parse_rational
-from .scenarios import SCENARIOS, run_scenario
+from .scenarios import PROBE_RETURNS, SCENARIOS, run_scenario
 from .solenoid import LinearFlowSpec, SolenoidSystem, pi_solenoid
 
 
@@ -107,8 +106,7 @@ def _cmd_group_member(args):
 def _cmd_group_equiv(args):
     m = FinGenSubgroup.from_json(_load_json(args.m))
     n = FinGenSubgroup.from_json(_load_json(args.n))
-    verdict = decide_equivalence(m, n, candidate=args.candidate,
-                                 search_bound=args.bound)
+    verdict = decide_equivalence(m, n, candidate=args.candidate)
     out = {"status": verdict.status, "notes": verdict.notes}
     if verdict.scalar is not None:
         out["scalar"] = (format_rational(verdict.scalar)
@@ -180,36 +178,13 @@ def _cmd_suspend_orbit(args):
 
 def _cmd_exponents_probe(args):
     from .exponents import probe_exponent
-    from .scenarios import (denjoy_suspension_orbit, example1_map,
-                            _example1_orbit, _integer_returns, spiral_orbit,
-                            _widest_gap_midpoint)
     spec = _load_json(args.orbit)
     kind = spec["kind"]
-    if kind == "example1":
-        orbit = _example1_orbit()
-        from .exponents import find_f_sequences
-        seqs = find_f_sequences(orbit, np.array([0.0, 0.5]), count=2,
-                                t_min=21.0, t_max=200.0)
-    elif kind == "spiral":
-        orbit = spiral_orbit(float(spec["alpha"]), float(spec["beta"]))
-        from .exponents import find_f_sequences
-        target = np.array([frac((spec["beta"] - spec["alpha"]) * math.log(2)),
-                           1.0])
-        seqs = find_f_sequences(orbit, target, count=2, t_min=14.0, t_max=40.0,
-                                grid=0.005)
-    elif kind == "denjoy-suspension":
-        basis = SymbolBasis([("1", 1.0), ("theta", float(spec["theta"]))])
-        d = build_denjoy(basis.symbol("theta"),
-                         parse_rational(spec.get("lambda", "1/2")),
-                         int(spec.get("trunc", 40)))
-        w_star, _ = _widest_gap_midpoint(d._pos)
-        orbit = denjoy_suspension_orbit(d, w_star)
-        seqs = _integer_returns(orbit, orbit.eval(0.0),
-                                int(spec.get("n_max", 300000)),
-                                float(spec.get("tol_return", 2e-5)))
-    else:
-        print(f"error: unknown orbit kind {kind!r}", file=sys.stderr)
+    if kind not in PROBE_RETURNS:
+        print(f"error: unknown orbit kind {kind!r}; have {sorted(PROBE_RETURNS)}",
+              file=sys.stderr)
         return 1
+    orbit, seqs, *_ = PROBE_RETURNS[kind]({**SCENARIOS[kind].defaults, **spec})
     candidates = _load_json(args.candidates)
     reports = []
     for cand in candidates:
@@ -282,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--m", required=True)
     ge.add_argument("--n", required=True)
     ge.add_argument("--candidate")
-    ge.add_argument("--bound", type=int, default=6)
     ge.set_defaults(func=_cmd_group_equiv)
 
     sol = sub.add_parser("solenoid", help="flows on truncated inverse limits")

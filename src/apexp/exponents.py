@@ -295,7 +295,10 @@ def kronecker_solve(query: KroneckerQuery):
     When some frequency equals 1 the scan runs over t = n + lift(target)
     for integers n (exact in that coordinate); otherwise a uniform grid
     of resolution epsilon / (4 max |freq|) is scanned.  Every returned t
-    is post-verified against the requested epsilon.
+    is rechecked exactly against the requested epsilon.  On the integer
+    path a float hit that fails the recheck is skipped and the scan goes
+    on from the next integer; on the grid path it raises
+    VerificationError.
     """
     query.validate()
     vals = query.values()
@@ -314,22 +317,35 @@ def kronecker_solve(query: KroneckerQuery):
         offset = float(targs[unit[0]])
         others = np.delete(np.arange(vals.size), unit[0])
         n0 = int(np.ceil(query.t_min - offset))
-        t = kron_scan_integer(vals[others], targs[others], eps, offset,
-                              n0, int(query.search_bound))
+        while True:
+            t = kron_scan_integer(vals[others], targs[others], eps, offset,
+                                  n0, int(query.search_bound))
+            if np.isnan(t) or _exactly_within(vals, targs, eps, t):
+                break
+            # rounding in v*t let a float hit through: go on from the
+            # next integer, so every point is still built from its n
+            n_hit = round(Fraction(float(t)) - Fraction(offset))
+            if n_hit < n0:
+                raise VerificationError(f"scan returned t = {t!r} before n = {n0}")
+            n0 = n_hit + 1
     else:
         step = eps / (4.0 * np.max(np.abs(vals)))
         t = kron_scan_grid(vals, targs, eps, query.t_min,
                            float(query.search_bound), step)
-    if np.isnan(t):
-        return None
-    # never trust the search: recheck the epsilon exactly, on the
-    # Fractions of the float inputs, so rounding in v*t cannot pass
+        if not (np.isnan(t) or _exactly_within(vals, targs, eps, t)):
+            raise VerificationError(f"scan returned t = {t!r}, not within {eps!r}")
+    return None if np.isnan(t) else float(t)
+
+
+def _exactly_within(vals, targs, eps, t) -> bool:
+    """Whether every frac(vals[j]*t) is within eps of targs[j], decided
+    on the Fractions of the float inputs, so rounding in v*t cannot pass."""
     ft, feps = Fraction(float(t)), Fraction(eps)
     for v, x in zip(vals, targs):
         d = (Fraction(float(v)) * ft - Fraction(float(x))) % 1
         if not min(d, 1 - d) < feps:
-            raise VerificationError(f"scan returned t = {t!r}, not within {eps!r}")
-    return float(t)
+            return False
+    return True
 
 
 @dataclass

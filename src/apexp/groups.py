@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .intlinalg import hnf_coefficients, hnf_rows, rational_rank, solve_rational
+from .intlinalg import (_eliminate, hnf_coefficients, hnf_rows,
+                        rational_rank, solve_rational)
 from .realfield import (RealVector, SymbolBasis, format_rational,
                         parse_rational)
 
@@ -268,18 +269,40 @@ def _verify_scalar(m: FinGenSubgroup, n: FinGenSubgroup, a) -> bool:
     return all(a_n.contains(g) for g in m.basis())
 
 
+def _rational_root(q: Fraction, r: int):
+    """The rational x > 0 with x**r == q > 0, or None.  Its numerator
+    and denominator are the integer r-th roots of q's."""
+    roots = []
+    for v in (q.numerator, q.denominator):
+        x = 1 << -(-v.bit_length() // r)  # at least the real root
+        while (y := ((r - 1) * x + v // x ** (r - 1)) // r) < x:
+            x = y  # integer Newton steps fall to the floor of the root
+        if x ** r != v:
+            return None
+        roots.append(x)
+    return Fraction(*roots)
+
+
 def decide_equivalence(m: FinGenSubgroup, n: FinGenSubgroup,
-                       candidate=None, search_bound: int = 6) -> EquivalenceVerdict:
+                       candidate=None) -> EquivalenceVerdict:
     """Decide whether M = a*N for some nonzero scalar a.
 
-    Complete for rank mismatches and for rank 1 with a rational
-    generator ratio; otherwise a bounded search over rational scalars
-    p/q with |p|, q <= search_bound, returning UNDECIDED on exhaustion.
-    A caller-supplied candidate (rational or RealVector with a product
-    table) is verified exactly before anything else.
+    A caller-supplied candidate (rational, or a RealVector with a
+    product table) is verified exactly first.  Otherwise the verdict is
+
+    - NOT_EQUIVALENT when the ranks differ, the only obstruction this
+      decides for all scalars;
+    - EQUIVALENT with the positive rational scalar |a| when one exists.
+      If M = a*N with a rational, M's basis is C times N's basis with
+      |det C| = |a|^r, so |a| is the exact rational r-th root of |det C|
+      (r the rank) and is verified two-sided;
+    - UNDECIDED otherwise: no rational scalar works, and no irrational
+      candidate was verified (`apexp group equiv` exits 2 on it).
     """
     if m.is_trivial() or n.is_trivial():
         raise ValueError("both groups must be nontrivial")
+    if m.basis_ctx != n.basis_ctx:
+        raise ValueError("the groups use different symbol bases")
     if candidate is not None:
         a = candidate if isinstance(candidate, RealVector) else parse_rational(candidate)
         if _verify_scalar(m, n, a):
@@ -290,44 +313,17 @@ def decide_equivalence(m: FinGenSubgroup, n: FinGenSubgroup,
             "NOT_EQUIVALENT",
             witness=f"rank {m.rank} != rank {n.rank}",
             notes="torsion-free rank is a scaling invariant")
-    if m.rank == 1:
-        mv = m.basis()[0].dense()
-        nv = n.basis()[0].dense()
-        ratio = None
-        for a, bq in zip(mv, nv):
-            if (a == 0) != (bq == 0):
-                ratio = None
-                break
-            if bq != 0:
-                r = a / bq
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ratio = None
-                    break
-        if ratio is not None:
-            return EquivalenceVerdict("EQUIVALENT", scalar=ratio,
-                                      notes="rank-1 generator ratio")
-        return EquivalenceVerdict(
-            "NOT_EQUIVALENT",
-            witness="rank-1 generator ratio is irrational in this symbol model",
-            notes="complete only when the ambient scalars are rational")
-    # bounded search over rational scalars, increasing height
-    tried = set()
-    for height in range(1, search_bound + 1):
-        # positive scalars first; -a works whenever a does
-        for p in list(range(1, height + 1)) + list(range(-height, 0)):
-            for q in range(1, height + 1):
-                if p == 0 or max(abs(p), q) != height:
-                    continue
-                a = Fraction(p, q)
-                if a in tried:
-                    continue
-                tried.add(a)
-                if _verify_scalar(m, n, a):
-                    return EquivalenceVerdict("EQUIVALENT", scalar=a,
-                                              notes="found by bounded search")
+    n_dense = [v.dense() for v in n.basis()]
+    c = [solve_rational(n_dense, v.dense()) for v in m.basis()]
+    if any(row is None for row in c):
+        why = "M and N span different Q-spaces"
+    else:
+        det = prod(c[i][j] for i, j in enumerate(_eliminate(c, m.rank)))
+        a = _rational_root(abs(det), m.rank)
+        if a is not None and _verify_scalar(m, n, a):
+            return EquivalenceVerdict("EQUIVALENT", scalar=a,
+                                      notes="rational r-th root of |det C|")
+        why = f"no rational scalar works (|det C| = {format_rational(abs(det))})"
     return EquivalenceVerdict(
         "UNDECIDED",
-        notes=f"no rational scalar of height <= {search_bound} works; "
-              "irrational scalars need a candidate plus a product table")
+        notes=f"{why}; irrational scalars need a candidate plus a product table")

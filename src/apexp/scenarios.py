@@ -23,7 +23,7 @@ from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
 from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
                         find_f_sequences, probe_exponent)
 from .groups import build_b_sequence
-from .realfield import SymbolBasis
+from .realfield import SymbolBasis, parse_rational
 from .solenoid import LinearFlowSpec, SolenoidSystem, pi_solenoid
 
 __all__ = [
@@ -32,9 +32,13 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "run_scenario",
+    "PROBE_RETURNS",
     "example1_map",
+    "example1_returns",
     "spiral_orbit",
+    "spiral_returns",
     "denjoy_suspension_orbit",
+    "denjoy_suspension_returns",
 ]
 
 LN2 = math.log(2.0)
@@ -112,9 +116,15 @@ def _example1_batch(ts: np.ndarray) -> np.ndarray:
     return np.stack([first, second], axis=1)
 
 
-def _example1_orbit() -> OrbitEvaluator:
-    return OrbitEvaluator(eval=example1_map, metric_kind=METRIC_EUCLIDEAN,
-                          eval_batch=_example1_batch)
+def example1_returns(params: dict):
+    """The sawtooth orbit and two interleaved return sequences to
+    (0, 1/2), found on params' grid over [t_min, t_max]."""
+    orbit = OrbitEvaluator(eval=example1_map, metric_kind=METRIC_EUCLIDEAN,
+                           eval_batch=_example1_batch)
+    seqs = find_f_sequences(orbit, np.array([0.0, 0.5]), count=2,
+                            t_min=params["t_min"], t_max=params["t_max"],
+                            grid=params["grid"])
+    return orbit, seqs
 
 
 def _rational_breaker(q: int, p: int, count: int = 24) -> FSequence:
@@ -131,7 +141,7 @@ def _rational_breaker(q: int, p: int, count: int = 24) -> FSequence:
 
 def _run_example1(params: dict) -> RunReport:
     report = RunReport("example1", params)
-    orbit = _example1_orbit()
+    orbit, seqs = example1_returns(params)
     basis = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))])
     one = basis.symbol("1")
     sqrt2 = basis.symbol("sqrt2")
@@ -145,9 +155,6 @@ def _run_example1(params: dict) -> RunReport:
     report.check("f(n + 1/2) -> (0, 1/2)", d_return <= 2.0 ** (-n + 1),
                  d_return, f"n = {n}")
 
-    seqs = find_f_sequences(orbit, np.array([0.0, 0.5]), count=2,
-                            t_min=params["t_min"], t_max=params["t_max"],
-                            grid=params["grid"])
     report.check("two return sequences found", len(seqs) == 2, len(seqs))
 
     tol_limit = params["tol_limit"]
@@ -211,13 +218,25 @@ def spiral_orbit(alpha: float, beta: float) -> OrbitEvaluator:
                           metric_kind=METRIC_CYLINDER, eval_batch=batch)
 
 
+def spiral_returns(params: dict):
+    """The spiral orbit with speeds params["alpha"] and params["beta"],
+    and two return sequences to a fixed angle on its forward limit
+    circle r = 1, found on params' grid over [t_min, t_max]."""
+    a, b = float(params["alpha"]), float(params["beta"])
+    orbit = spiral_orbit(a, b)
+    target = np.array([frac((b - a) * LN2), 1.0])
+    seqs = find_f_sequences(orbit, target, count=2, t_min=params["t_min"],
+                            t_max=params["t_max"], grid=params["grid"])
+    return orbit, seqs
+
+
 def _run_spiral(params: dict) -> RunReport:
     report = RunReport("spiral", params)
     basis = SymbolBasis([("1", 1.0), ("alpha", math.sqrt(2.0)),
                          ("beta", math.sqrt(3.0))])
     alpha, beta = basis.symbol("alpha"), basis.symbol("beta")
-    a, b = alpha.eval(), beta.eval()
-    orbit = spiral_orbit(a, b)
+    orbit, seqs = spiral_returns({**params, "alpha": alpha.eval(),
+                                  "beta": beta.eval()})
     fwd = OrbitEvaluator(eval=orbit.eval, metric_kind=METRIC_CYLINDER,
                          eval_batch=orbit.eval_batch, forward_only=True)
 
@@ -230,10 +249,6 @@ def _run_spiral(params: dict) -> RunReport:
                  abs(r_far[0] - 1) < 1e-9 and abs(r_far[1]) < 1e-9,
                  [float(v) for v in r_far])
 
-    # forward limit circle: returns to a fixed angle on r = 1
-    target = np.array([frac((b - a) * LN2), 1.0])
-    seqs = find_f_sequences(fwd, target, count=2, t_min=params["t_min"],
-                            t_max=params["t_max"], grid=params["grid"])
     report.check("forward return sequences found", len(seqs) == 2, len(seqs))
 
     rep = probe_exponent(fwd, alpha, seqs, tol_limit=params["tol_limit"])
@@ -314,23 +329,33 @@ def _integer_returns(orbit: OrbitEvaluator, base: np.ndarray, n_max: int,
             for j in range(count) if hits[j::count].size]
 
 
+def denjoy_suspension_returns(params: dict):
+    """The suspension orbit of the rotation by params["theta"] blown up
+    with ratio params.get("lambda", "1/2") to depth trunc, its integer
+    return sequences (n_max, tol_return), the blown-up rotation, and the
+    half-width of the gap around the orbit's base point."""
+    basis = SymbolBasis([("1", 1.0), ("theta", float(params["theta"]))])
+    d = build_denjoy(basis.symbol("theta"),
+                     parse_rational(params.get("lambda", "1/2")),
+                     trunc=int(params["trunc"]))
+    # base the orbit at a Cantor point far from every blown-up orbit
+    # point, so small rotation errors translate to small fiber distances
+    w_star, half_gap = _widest_gap_midpoint(d._pos)
+    orbit = denjoy_suspension_orbit(d, w_star)
+    seqs = _integer_returns(orbit, orbit.eval(0.0), int(params["n_max"]),
+                            float(params["tol_return"]))
+    return orbit, seqs, d, half_gap
+
+
 def _run_denjoy_suspension(params: dict) -> RunReport:
     report = RunReport("denjoy-suspension", params)
     basis = SymbolBasis([("1", 1.0), ("theta", math.sqrt(2.0) / 2.0),
                          ("sqrt3", math.sqrt(3.0))])
     one, theta, sqrt3 = (basis.symbol(n) for n in ("1", "theta", "sqrt3"))
-    d = build_denjoy(theta, Fraction(1, 2), trunc=params["trunc"])
-
-    # base the orbit at a Cantor point far from every blown-up orbit
-    # point, so small rotation errors translate to small fiber distances
-    w_star, half_gap = _widest_gap_midpoint(d._pos)
+    orbit, seqs, d, half_gap = denjoy_suspension_returns(
+        {**params, "theta": theta.eval()})
     report.check("base point clears the blown-up orbit", half_gap > 0.005,
                  half_gap)
-    orbit = denjoy_suspension_orbit(d, w_star)
-    base = orbit.eval(0.0)
-
-    seqs = _integer_returns(orbit, base, n_max=params["n_max"],
-                            tol=params["tol_return"])
     report.check("return sequences found",
                  len(seqs) == 2 and min(len(s.times) for s in seqs) >= 4,
                  [len(s.times) for s in seqs])
@@ -455,6 +480,12 @@ _register("dyadic-solenoid",
           "depth-8 dyadic refinement tower, its solenoid and linear flow",
           {"depth": 8, "n_grid": 10000},
           _run_dyadic_solenoid)
+
+
+# orbit-and-sequences builder of each probe scenario; each returns the
+# orbit and its return sequences first
+PROBE_RETURNS = {"example1": example1_returns, "spiral": spiral_returns,
+                 "denjoy-suspension": denjoy_suspension_returns}
 
 
 def run_scenario(name: str, params: dict | None = None) -> RunReport:

@@ -7,6 +7,7 @@ import pytest
 from apexp.cli import main, parse_real_token
 from apexp.groups import FinGenSubgroup, build_b_sequence
 from apexp.realfield import SymbolBasis
+from apexp.scenarios import run_scenario
 from apexp.solenoid import SolenoidSystem
 
 
@@ -95,6 +96,16 @@ def test_group_equiv(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "UNDECIDED"
 
 
+def test_group_equiv_has_no_bound(tmp_path, capsys):
+    basis = SymbolBasis([("1", 1.0)])
+    gp = write(tmp_path, "g.json",
+               FinGenSubgroup(basis, [basis.symbol("1")]).to_json())
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "equiv", "--m", gp, "--n", gp, "--bound", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 6" in capsys.readouterr().err
+
+
 def test_solenoid_flow_csv(tmp_path):
     basis = SymbolBasis([("1", 1.0)])
     one = basis.symbol("1")
@@ -157,6 +168,34 @@ def test_exponents_probe(tmp_path, capsys):
                  cands, "--report", str(report)]) == 0
     out = json.loads(report.read_text())
     assert [r["verdict"] for r in out] == ["ACCEPTED", "ACCEPTED"]
+
+
+@pytest.mark.parametrize("spec,cands,expectations", [
+    ({"kind": "spiral", "alpha": math.sqrt(2), "beta": math.sqrt(3)},
+     ["sqrt2"], ["forward probe accepts alpha"]),
+    ({"kind": "denjoy-suspension", "theta": math.sqrt(2) / 2},
+     [1, "sqrt2/2"], ["member 1 accepted", "member theta accepted"]),
+])
+def test_exponents_probe_matches_scenario(tmp_path, spec, cands, expectations):
+    # the CLI builds the orbit and sequences with the scenario's builder,
+    # so its verdicts are the scenario's
+    report = tmp_path / "report.json"
+    assert main(["exponents", "probe",
+                 "--orbit", write(tmp_path, "orbit.json", spec),
+                 "--candidates", write(tmp_path, "cands.json", cands),
+                 "--report", str(report)]) == 0
+    verdicts = [r["verdict"] for r in json.loads(report.read_text())]
+    measured = {e.name: e.measured
+                for e in run_scenario(spec["kind"]).expectations}
+    assert verdicts == [measured[name] for name in expectations]
+    assert verdicts == ["ACCEPTED"] * len(cands)
+
+
+def test_exponents_probe_unknown_kind(tmp_path, capsys):
+    assert main(["exponents", "probe",
+                 "--orbit", write(tmp_path, "orbit.json", {"kind": "dyadic-solenoid"}),
+                 "--candidates", write(tmp_path, "cands.json", [1])]) == 1
+    assert "unknown orbit kind" in capsys.readouterr().err
 
 
 def test_kronecker_solve(capsys):

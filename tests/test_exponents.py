@@ -216,14 +216,44 @@ class TestKroneckerSolve:
 
     def test_post_check_is_exact(self):
         # near t = 1e7 the float residual of sqrt(2)*t rounds below epsilon,
-        # but the exact residual of the float inputs is 3.25e-9 >= epsilon
-        from apexp.groups import VerificationError
+        # but the exact residual of the float inputs is 3.25e-9 >= epsilon;
+        # the scan goes on past 9999991.5 and finds no exact hit up to 1e7
         q = KroneckerQuery(frequencies=[1.0, math.sqrt(2)],
                            targets=[0.5, 0.6029156680334374],
                            epsilon=2.556322598046279e-09, search_bound=1e7,
                            t_min=9999991.5)
-        with pytest.raises(VerificationError, match="9999991.5"):
-            kronecker_solve(q)
+        assert kronecker_solve(q) is None
+
+    def test_rejected_float_hit_is_followed_by_a_true_hit(self, monkeypatch):
+        # at n = 9000046 the exact residual is epsilon + 1e-10, yet the
+        # float scan passes it; the solver must go on to the first exact hit
+        from fractions import Fraction
+        from apexp import exponents
+        from apexp.kernels import kron_scan_integer
+        v, x, eps, n1 = math.sqrt(2), 0.8212885065581959, 1e-3, 9000046
+        assert kron_scan_integer([v], [x], eps, 0.5, n1, n1) == n1 + 0.5
+        starts = []
+
+        def recording_scan(vals, targs, eps, offset, n0, n_end):
+            starts.append(n0)
+            return kron_scan_integer(vals, targs, eps, offset, n0, n_end)
+
+        monkeypatch.setattr(exponents, "kron_scan_integer", recording_scan)
+        q = KroneckerQuery(frequencies=[1.0, v], targets=[0.5, x],
+                           epsilon=eps, search_bound=n1 + 10 ** 5,
+                           t_min=n1 + 0.5)
+        t = kronecker_solve(q)
+        # one resumed scan, from the integer after the rejected hit
+        assert starts == [n1, n1 + 1]
+
+        def exact(t):
+            d = (Fraction(v) * Fraction(t) - Fraction(x)) % 1
+            return min(d, 1 - d) < Fraction(eps)
+
+        # the same points, t = float(n) + 0.5, checked one by one
+        first = next(float(n) + 0.5 for n in range(n1, n1 + 10 ** 5)
+                     if exact(float(n) + 0.5))
+        assert not exact(n1 + 0.5) and t == first > n1 + 0.5
 
     def test_negate_time(self):
         q = KroneckerQuery(frequencies=[THETA], targets=[0.3], epsilon=0.01,

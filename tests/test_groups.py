@@ -9,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import apexp
 from apexp.groups import (DependentGeneratorsError, FinGenSubgroup,
@@ -302,11 +302,9 @@ class TestEquivalence:
                          rng.randint(1, 6))
             n = FinGenSubgroup(ctx, [g.scale(a) for g in gens])
             v = decide_equivalence(n, m)
-            assert v.status == "EQUIVALENT"
-            # verified two-sided, so the scalar must match the oracle's
-            # notion of equivalence even if a different representative
-            oracle = brute_equivalent(n, m)
-            assert oracle is not None
+            assert v.status == "EQUIVALENT" and v.scalar == abs(a)
+            # M = aN fixes a up to sign, so the oracle finds a or -a
+            assert abs(brute_equivalent(n, m)) == v.scalar
 
     def test_randomized_rank_mismatch(self, ctx):
         rng = random.Random(43)
@@ -332,3 +330,81 @@ class TestEquivalence:
         m = FinGenSubgroup(ctx, [ctx.symbol("sqrt2"), ctx.vector({"1": 2})])
         n = FinGenSubgroup(ctx, [ctx.symbol("1"), ctx.symbol("sqrt2")])
         assert decide_equivalence(m, n).status == "UNDECIDED"
+
+    @pytest.mark.parametrize("a", [Fraction(7, 11), Fraction(-13, 4),
+                                   Fraction(1000003, 999983)])
+    def test_scalars_beyond_small_heights(self, ctx, a):
+        gens = [ctx.vector({"1": "1/3", "sqrt2": "2/5"}),
+                ctx.vector({"sqrt2": 3})]
+        m = FinGenSubgroup(ctx, gens)
+        n = FinGenSubgroup(ctx, [g.scale(a) for g in gens])
+        v = decide_equivalence(n, m)
+        assert v.status == "EQUIVALENT" and v.scalar == abs(a)
+
+    def test_index_two_sublattice_is_undecided(self, ctx):
+        # |det C| = 2 has no rational square root, so no rational scalar
+        m = FinGenSubgroup(ctx, [ctx.symbol("1"), ctx.symbol("sqrt2")])
+        n = FinGenSubgroup(ctx, [ctx.vector({"1": 2}), ctx.symbol("sqrt2")])
+        assert decide_equivalence(n, m).status == "UNDECIDED"
+        assert decide_equivalence(m, n).status == "UNDECIDED"
+
+    def test_irrational_rank_one_ratio_is_not_refuted(self, ctx):
+        # Z = (1/sqrt2) * sqrt2 Z: equal ranks never refute equivalence
+        z = FinGenSubgroup(ctx, [ctx.symbol("1")])
+        sqrt2_z = FinGenSubgroup(ctx, [ctx.symbol("sqrt2")])
+        assert decide_equivalence(z, sqrt2_z).status == "UNDECIDED"
+        assert decide_equivalence(sqrt2_z, z).status == "UNDECIDED"
+
+    def test_rejects_groups_over_different_bases(self, ctx):
+        m = FinGenSubgroup(ctx, [ctx.symbol("1")])
+        n = FinGenSubgroup(THREE, [THREE.symbol("1")])
+        with pytest.raises(ValueError, match="different symbol bases"):
+            decide_equivalence(m, n)
+
+    def test_agrees_with_brute_force_at_small_heights(self, ctx):
+        # scaled copies, sublattices of index 2-4 of scaled copies, and
+        # unrelated groups; rank 1 and 2
+        rng = random.Random(47)
+
+        def rand_vec():
+            return ctx.vector({"1": Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                               "sqrt2": Fraction(rng.randint(-4, 4), rng.randint(1, 4))})
+
+        seen = set()
+        for i in range(60):
+            m = FinGenSubgroup(ctx, [rand_vec() for _ in range(rng.randint(1, 2))])
+            if m.is_trivial():
+                continue
+            a = Fraction(rng.choice([p for p in range(-6, 7) if p]),
+                         rng.randint(1, 6))
+            basis = [b.scale(a) for b in m.basis()]
+            kind = i % 3
+            if kind == 1:
+                basis[0] = basis[0].scale(rng.randint(2, 4))
+            elif kind == 2:
+                basis = [rand_vec() for _ in basis]
+            n = FinGenSubgroup(ctx, basis)
+            if n.is_trivial():
+                continue
+            v = decide_equivalence(n, m)
+            oracle = brute_equivalent(n, m)
+            if oracle is None:
+                # the decider may only find a scalar the oracle cannot reach
+                assert v.status != "EQUIVALENT" or max(
+                    abs(v.scalar.numerator), v.scalar.denominator) > 6
+            else:
+                assert v.status == "EQUIVALENT" and v.scalar == abs(oracle)
+            seen.add((kind, v.status))
+        assert {(0, "EQUIVALENT"), (1, "UNDECIDED"), (2, "UNDECIDED")} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(three_vectors, min_size=1, max_size=3),
+       st.integers(-10 ** 6, 10 ** 6).filter(bool), st.integers(1, 10 ** 6))
+def test_rational_scalar_is_recovered_exactly(gens, p, q):
+    m = FinGenSubgroup(THREE, gens)
+    assume(not m.is_trivial())
+    a = Fraction(p, q)
+    n = FinGenSubgroup(THREE, [g.scale(a) for g in gens])
+    v = decide_equivalence(n, m)
+    assert v.status == "EQUIVALENT" and v.scalar == abs(a)

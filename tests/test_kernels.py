@@ -1,11 +1,13 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apexp.circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
-                            dist)
+                            circle_dist, dist, frac)
 from apexp.kernels import (FIRST_CHUNK, _chunks, almost_period_sup,
                            kron_scan_grid, kron_scan_integer)
 
@@ -238,6 +240,32 @@ def test_dist_matches_scalar_loop(kind, d):
                                [oracle_dist(p, b[0], kind) for p in a],
                                rtol=0, atol=1e-12)
 
+
+
+# signed zeros, the smallest subnormal, tiny negatives that round to 1.0,
+# integers beyond 2^53 and the floats next to +-1
+MOD1_EDGES = [-0.0, 0.0, -5e-324, 5e-324, -1e-300, 1e-300, 1e17, -1e17,
+              1 - 2 ** -53, -(1 - 2 ** -53), -0.5, 0.5, -3.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
+def test_mod1_reduction_is_bit_for_bit(xs):
+    """frac, circle_dist and dist give the bits of Python's % 1.0 loops,
+    on arrays and on Python scalars alike."""
+    xs = xs + MOD1_EDGES
+    arr = np.array(xs)
+
+    def bits(values):
+        return [struct.pack("<d", v) for v in values]
+
+    ref = bits(x % 1.0 for x in xs)
+    assert bits(frac(arr).tolist()) == ref
+    assert bits(frac(x) for x in xs) == ref
+    assert bits(circle_dist(x, 0.0) for x in xs) == bits(_circ(x) for x in xs)
+    for kind in (METRIC_TORUS, METRIC_CYLINDER):
+        assert bits(dist(arr[:, None], [0.0], kind).tolist()) == bits(
+            oracle_dist([x], [0.0], kind) for x in xs)
 
 class TestAlmostPeriodWindow:
     def test_window_semantics(self):
