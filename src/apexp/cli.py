@@ -22,7 +22,7 @@ from .circle import (SuspensionPoint, build_denjoy, closed_form_lift,
 from .exponents import KroneckerQuery, kronecker_solve
 from .groups import FinGenSubgroup, build_b_sequence, decide_equivalence
 from .realfield import RealVector, SymbolBasis, format_rational, parse_rational
-from .scenarios import PROBE_RETURNS, SCENARIOS, run_scenario
+from .scenarios import SCENARIOS, run_scenario
 from .solenoid import LinearFlowSpec, SolenoidSystem, pi_solenoid
 
 
@@ -180,11 +180,11 @@ def _cmd_exponents_probe(args):
     from .exponents import probe_exponent
     spec = _load_json(args.orbit)
     kind = spec["kind"]
-    if kind not in PROBE_RETURNS:
-        print(f"error: unknown orbit kind {kind!r}; have {sorted(PROBE_RETURNS)}",
-              file=sys.stderr)
+    kinds = sorted(k for k, s in SCENARIOS.items() if s.returns)
+    if kind not in kinds:
+        print(f"error: unknown orbit kind {kind!r}; have {kinds}", file=sys.stderr)
         return 1
-    orbit, seqs, *_ = PROBE_RETURNS[kind]({**SCENARIOS[kind].defaults, **spec})
+    orbit, seqs = SCENARIOS[kind].returns({**SCENARIOS[kind].defaults, **spec})
     candidates = _load_json(args.candidates)
     reports = []
     for cand in candidates:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
-from .intlinalg import (_eliminate, hnf_coefficients, hnf_rows,
-                        rational_rank, solve_rational)
+from .intlinalg import (hnf_coefficients, hnf_rows, rational_rank,
+                        solve_rational)
 from .realfield import (RealVector, SymbolBasis, format_rational,
                         parse_rational)
 
@@ -269,20 +269,6 @@ def _verify_scalar(m: FinGenSubgroup, n: FinGenSubgroup, a) -> bool:
     return all(a_n.contains(g) for g in m.basis())
 
 
-def _rational_root(q: Fraction, r: int):
-    """The rational x > 0 with x**r == q > 0, or None.  Its numerator
-    and denominator are the integer r-th roots of q's."""
-    roots = []
-    for v in (q.numerator, q.denominator):
-        x = 1 << -(-v.bit_length() // r)  # at least the real root
-        while (y := ((r - 1) * x + v // x ** (r - 1)) // r) < x:
-            x = y  # integer Newton steps fall to the floor of the root
-        if x ** r != v:
-            return None
-        roots.append(x)
-    return Fraction(*roots)
-
-
 def decide_equivalence(m: FinGenSubgroup, n: FinGenSubgroup,
                        candidate=None) -> EquivalenceVerdict:
     """Decide whether M = a*N for some nonzero scalar a.
@@ -293,11 +279,14 @@ def decide_equivalence(m: FinGenSubgroup, n: FinGenSubgroup,
     - NOT_EQUIVALENT when the ranks differ, the only obstruction this
       decides for all scalars;
     - EQUIVALENT with the positive rational scalar |a| when one exists.
-      If M = a*N with a rational, M's basis is C times N's basis with
-      |det C| = |a|^r, so |a| is the exact rational r-th root of |det C|
-      (r the rank) and is verified two-sided;
+      Both bases are unique Hermite normal forms with positive pivots,
+      and a positive multiple of one is again one, so M = a*N with a
+      rational makes M's basis exactly |a| times N's.  The one candidate
+      is therefore the ratio of the first pivots, verified two-sided;
     - UNDECIDED otherwise: no rational scalar works, and no irrational
-      candidate was verified (`apexp group equiv` exits 2 on it).
+      candidate was verified (`apexp group equiv` exits 2 on it).  Two
+      rank-1 groups <m> and <n> are always equivalent over R, with
+      a = m/n, so for rank 1 UNDECIDED only means that m/n is irrational.
     """
     if m.is_trivial() or n.is_trivial():
         raise ValueError("both groups must be nontrivial")
@@ -313,17 +302,12 @@ def decide_equivalence(m: FinGenSubgroup, n: FinGenSubgroup,
             "NOT_EQUIVALENT",
             witness=f"rank {m.rank} != rank {n.rank}",
             notes="torsion-free rank is a scaling invariant")
-    n_dense = [v.dense() for v in n.basis()]
-    c = [solve_rational(n_dense, v.dense()) for v in m.basis()]
-    if any(row is None for row in c):
-        why = "M and N span different Q-spaces"
-    else:
-        det = prod(c[i][j] for i, j in enumerate(_eliminate(c, m.rank)))
-        a = _rational_root(abs(det), m.rank)
-        if a is not None and _verify_scalar(m, n, a):
-            return EquivalenceVerdict("EQUIVALENT", scalar=a,
-                                      notes="rational r-th root of |det C|")
-        why = f"no rational scalar works (|det C| = {format_rational(abs(det))})"
+    m0, n0 = m.basis()[0].coords, n.basis()[0].coords
+    a = m0[min(m0)] / n0[min(n0)]
+    if _verify_scalar(m, n, a):
+        return EquivalenceVerdict("EQUIVALENT", scalar=a,
+                                  notes="ratio of the first pivots, verified two-sided")
     return EquivalenceVerdict(
         "UNDECIDED",
-        notes=f"{why}; irrational scalars need a candidate plus a product table")
+        notes=f"the only rational candidate {format_rational(a)} fails; "
+              "irrational scalars need a candidate plus a product table")

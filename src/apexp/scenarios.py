@@ -23,7 +23,7 @@ from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
 from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
                         find_f_sequences, probe_exponent)
 from .groups import build_b_sequence
-from .realfield import SymbolBasis, parse_rational
+from .realfield import SymbolBasis
 from .solenoid import LinearFlowSpec, SolenoidSystem, pi_solenoid
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Scenario",
     "SCENARIOS",
     "run_scenario",
-    "PROBE_RETURNS",
     "example1_map",
     "example1_returns",
     "spiral_orbit",
@@ -85,6 +84,8 @@ class Scenario:
     description: str
     defaults: dict
     runner: Callable[[dict], RunReport]
+    # orbit-and-sequences builder of a probe scenario: params -> (orbit, seqs)
+    returns: Callable[[dict], tuple] | None = None
 
     def run(self, params: dict | None = None) -> RunReport:
         merged = dict(self.defaults)
@@ -329,14 +330,13 @@ def _integer_returns(orbit: OrbitEvaluator, base: np.ndarray, n_max: int,
             for j in range(count) if hits[j::count].size]
 
 
-def denjoy_suspension_returns(params: dict):
+def _denjoy_suspension(params: dict):
     """The suspension orbit of the rotation by params["theta"] blown up
-    with ratio params.get("lambda", "1/2") to depth trunc, its integer
-    return sequences (n_max, tol_return), the blown-up rotation, and the
-    half-width of the gap around the orbit's base point."""
+    with ratio 1/2 to depth trunc, its integer return sequences (n_max,
+    tol_return), the blown-up rotation, and the half-width of the gap
+    around the orbit's base point."""
     basis = SymbolBasis([("1", 1.0), ("theta", float(params["theta"]))])
-    d = build_denjoy(basis.symbol("theta"),
-                     parse_rational(params.get("lambda", "1/2")),
+    d = build_denjoy(basis.symbol("theta"), Fraction(1, 2),
                      trunc=int(params["trunc"]))
     # base the orbit at a Cantor point far from every blown-up orbit
     # point, so small rotation errors translate to small fiber distances
@@ -347,12 +347,18 @@ def denjoy_suspension_returns(params: dict):
     return orbit, seqs, d, half_gap
 
 
+def denjoy_suspension_returns(params: dict):
+    """The suspension orbit and its integer return sequences; see
+    _denjoy_suspension."""
+    return _denjoy_suspension(params)[:2]
+
+
 def _run_denjoy_suspension(params: dict) -> RunReport:
     report = RunReport("denjoy-suspension", params)
     basis = SymbolBasis([("1", 1.0), ("theta", math.sqrt(2.0) / 2.0),
                          ("sqrt3", math.sqrt(3.0))])
     one, theta, sqrt3 = (basis.symbol(n) for n in ("1", "theta", "sqrt3"))
-    orbit, seqs, d, half_gap = denjoy_suspension_returns(
+    orbit, seqs, d, half_gap = _denjoy_suspension(
         {**params, "theta": theta.eval()})
     report.check("base point clears the blown-up orbit", half_gap > 0.005,
                  half_gap)
@@ -453,8 +459,8 @@ def _run_dyadic_solenoid(params: dict) -> RunReport:
 SCENARIOS: dict[str, Scenario] = {}
 
 
-def _register(name, description, defaults, runner):
-    SCENARIOS[name] = Scenario(name, description, defaults, runner)
+def _register(name, description, defaults, runner, returns=None):
+    SCENARIOS[name] = Scenario(name, description, defaults, runner, returns)
 
 
 _register("example1",
@@ -462,30 +468,24 @@ _register("example1",
           "irrational candidates rejected by oscillating return times",
           {"t_min": 21.0, "t_max": 200.0, "grid": 0.01, "tol_limit": 1e-3,
            "breaker_count": 32, "search_bound": 1e6},
-          _run_example1)
+          _run_example1, example1_returns)
 _register("spiral",
           "cylinder spiral between two invariant circles: forward exponents "
           "are generated by alpha, the full orbit has none",
           {"t_min": 14.0, "t_max": 40.0, "grid": 0.005, "tol_limit": 1e-3,
            "breaker_count": 40, "cauchy_tol": 0.1, "search_bound": 2e4},
-          _run_spiral)
+          _run_spiral, spiral_returns)
 _register("denjoy-suspension",
           "suspension of the blown-up rotation: exponents are exactly the "
           "integer span of theta and 1",
           {"trunc": 40, "n_max": 300000, "tol_return": 2e-5,
            "tol_limit": 1e-3, "breaker_count": 40, "cauchy_tol": 0.05,
            "search_bound": 1e7, "rot_n": 10000},
-          _run_denjoy_suspension)
+          _run_denjoy_suspension, denjoy_suspension_returns)
 _register("dyadic-solenoid",
           "depth-8 dyadic refinement tower, its solenoid and linear flow",
           {"depth": 8, "n_grid": 10000},
           _run_dyadic_solenoid)
-
-
-# orbit-and-sequences builder of each probe scenario; each returns the
-# orbit and its return sequences first
-PROBE_RETURNS = {"example1": example1_returns, "spiral": spiral_returns,
-                 "denjoy-suspension": denjoy_suspension_returns}
 
 
 def run_scenario(name: str, params: dict | None = None) -> RunReport:

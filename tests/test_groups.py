@@ -342,7 +342,8 @@ class TestEquivalence:
         assert v.status == "EQUIVALENT" and v.scalar == abs(a)
 
     def test_index_two_sublattice_is_undecided(self, ctx):
-        # |det C| = 2 has no rational square root, so no rational scalar
+        # the only rational candidate, the ratio of the first pivots,
+        # fails the two-sided check
         m = FinGenSubgroup(ctx, [ctx.symbol("1"), ctx.symbol("sqrt2")])
         n = FinGenSubgroup(ctx, [ctx.vector({"1": 2}), ctx.symbol("sqrt2")])
         assert decide_equivalence(n, m).status == "UNDECIDED"
@@ -406,5 +407,7 @@ def test_rational_scalar_is_recovered_exactly(gens, p, q):
     assume(not m.is_trivial())
     a = Fraction(p, q)
     n = FinGenSubgroup(THREE, [g.scale(a) for g in gens])
+    # the decider relies on the HNF basis scaling with the group
+    assert n.basis() == [b.scale(abs(a)) for b in m.basis()]
     v = decide_equivalence(n, m)
     assert v.status == "EQUIVALENT" and v.scalar == abs(a)
