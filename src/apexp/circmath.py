@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "frac",
     "circle_dist",
+    "circular_gaps",
     "circular_mean",
     "circular_spread",
     "METRIC_EUCLIDEAN",
@@ -68,6 +69,13 @@ def circular_mean(values) -> float:
     return float(np.angle(z) / (2 * np.pi) % 1.0)
 
 
+def circular_gaps(values):
+    """The circle coordinates sorted in [0, 1), and the gap from each one
+    to the next round the circle (the last gap wraps past 1)."""
+    v = np.sort(frac(np.asarray(values, dtype=float)))
+    return v, np.diff(v, append=v[:1] + 1.0)
+
+
 def circular_spread(values) -> float:
     """Max pairwise circle distance of a set of circle coordinates.
 
@@ -75,8 +83,7 @@ def circular_spread(values) -> float:
     equals the diameter whenever the points fit in a half circle (the only
     regime where the diameter is small enough to matter).
     """
-    values = np.sort(np.asarray(values, dtype=float) % 1.0)
-    if values.size < 2:
+    v, gaps = circular_gaps(values)
+    if v.size < 2:
         return 0.0
-    gaps = np.diff(values, append=values[0] + 1.0)
     return float(1.0 - gaps.max())

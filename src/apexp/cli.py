@@ -184,7 +184,11 @@ def _cmd_exponents_probe(args):
     if kind not in kinds:
         print(f"error: unknown orbit kind {kind!r}; have {kinds}", file=sys.stderr)
         return 1
-    orbit, seqs = SCENARIOS[kind].returns({**SCENARIOS[kind].defaults, **spec})
+    try:
+        orbit, seqs = SCENARIOS[kind].returns({**SCENARIOS[kind].defaults, **spec})
+    except KeyError as exc:
+        print(f"error: orbit kind {kind!r} needs {exc.args[0]!r}", file=sys.stderr)
+        return 1
     candidates = _load_json(args.candidates)
     reports = []
     for cand in candidates:

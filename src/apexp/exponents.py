@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circmath import circle_dist, circular_mean, circular_spread, dist, frac
+from .circmath import (circle_dist, circular_gaps, circular_mean,
+                       circular_spread, dist, frac)
 from .groups import VerificationError
 from .kernels import almost_period_sup, kron_scan_grid, kron_scan_integer
 from .realfield import RealVector
@@ -56,21 +57,26 @@ def _freq_value(x) -> float:
 
 @dataclass
 class OrbitEvaluator:
-    """A map t -> point together with the metric of its target space."""
+    """An orbit, as a map from an (n,) array of times to the (n, d) array
+    of its points, together with the metric of its target space."""
 
-    eval: Callable[[float], np.ndarray]
+    points: Callable[[np.ndarray], np.ndarray]
     metric_kind: int
-    base_time: float = 0.0
-    eval_batch: Callable | None = None
-    forward_only: bool = False  # restrict searches to t >= 0 (semi-orbits)
 
     def metric(self, p, q) -> float:
         return float(dist(p, q, self.metric_kind))
 
-    def batch(self, ts: np.ndarray) -> np.ndarray:
-        if self.eval_batch is not None:
-            return np.asarray(self.eval_batch(np.asarray(ts, dtype=float)))
-        return np.array([np.atleast_1d(self.eval(float(t))) for t in ts])
+    def batch(self, ts) -> np.ndarray:
+        return np.asarray(self.points(np.asarray(ts, dtype=float)))
+
+    def eval(self, t: float) -> np.ndarray:
+        return self.batch([t])[0]
+
+    def spread(self, times) -> float:
+        """Largest pairwise distance between the orbit points at the
+        given times."""
+        pts = self.batch(times)
+        return float(dist(pts[:, None], pts[None], self.metric_kind).max())
 
 
 @dataclass
@@ -92,8 +98,7 @@ class FSequence:
     def verify_cauchy(self, orbit: OrbitEvaluator, tail: int = 8) -> float:
         """Recompute the tail spread of the orbit values; the sequence is
         (desk-scale) Cauchy when this is small."""
-        pts = [np.atleast_1d(orbit.eval(float(t))) for t in self.times[-tail:]]
-        return max(orbit.metric(p, q) for p in pts for q in pts)
+        return orbit.spread(self.times[-tail:])
 
 
 def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
@@ -114,19 +119,14 @@ def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
     dists = dist(pts, target, orbit.metric_kind)
     interior = (dists[1:-1] <= dists[:-2]) & (dists[1:-1] < dists[2:])
     idx = np.nonzero(interior)[0] + 1
-    hits = []
-    for i in idx:
-        if dists[i] > 10 * tol_orbit + 0.2:
-            continue  # not worth refining
-        t, d = _refine_minimum(orbit, target, ts[i] - grid, ts[i] + grid,
-                               refine_iters)
-        if d <= tol_orbit:
-            hits.append((t, d))
-    hits.sort()
-    if not hits:
+    idx = idx[dists[idx] <= 10 * tol_orbit + 0.2]  # others are not worth refining
+    if not idx.size:
         return []
-    times = np.array([t for t, _ in hits])
-    profile = np.array([d for _, d in hits])
+    t, d = _refine_minima(orbit, target, ts[idx] - grid, ts[idx] + grid,
+                          refine_iters)
+    t, d = t[d <= tol_orbit], d[d <= tol_orbit]
+    order = np.lexsort((d, t))
+    times, profile = t[order], d[order]
     target = np.atleast_1d(np.asarray(target, dtype=float))
     out = []
     for j in range(count):
@@ -135,26 +135,26 @@ def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
     return out
 
 
-def _refine_minimum(orbit, target, lo, hi, iters):
-    """Golden-section refinement of a bracketed distance minimum."""
-    target = np.atleast_1d(np.asarray(target, dtype=float))
+def _refine_minima(orbit, target, lo, hi, iters):
+    """Golden-section refinement of the distance minima bracketed by
+    [lo[k], hi[k]], all brackets at once: each step evaluates the one new
+    point of every bracket in a single batch.  Returns the refined times
+    and their distances to the target."""
 
     def d(t):
-        return orbit.metric(np.atleast_1d(orbit.eval(t)), target)
+        return dist(orbit.batch(t), target, orbit.metric_kind)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, dd = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = d(c), d(dd)
+    fc, fd = np.split(d(np.concatenate([c, dd])), 2)
     for _ in range(iters):
-        if fc < fd:
-            b, dd, fd = dd, c, fc
-            c = b - invphi * (b - a)
-            fc = d(c)
-        else:
-            a, c, fc = c, dd, fd
-            dd = a + invphi * (b - a)
-            fd = d(dd)
+        left = fc < fd  # the minimum lies in [a, dd]: drop (dd, b]
+        a, b = np.where(left, a, c), np.where(left, dd, b)
+        new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fnew = d(new)
+        c, dd = np.where(left, new, dd), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
     t = 0.5 * (a + b)
     return t, d(t)
 
@@ -176,10 +176,9 @@ def _two_clusters(values):
 
     Returns (center1, spread1, center2, spread2, gap) or None when the
     values do not form two groups."""
-    v = np.sort(np.asarray(values, dtype=float) % 1.0)
+    v, gaps = circular_gaps(values)
     if v.size < 4:
         return None
-    gaps = np.diff(v, append=v[0] + 1.0)
     top = np.argsort(gaps)[-2:]
     i, j = sorted(top)
     if i == j:
@@ -401,10 +400,10 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
         times.append(t)
         t_prev = abs(t)
     times = np.array(times)
+    pts = orbit.batch(times)
     if target_point is None:
-        target_point = np.atleast_1d(orbit.eval(float(times[-1])))
-    pts = [np.atleast_1d(orbit.eval(float(t))) for t in times]
-    profile = np.array([orbit.metric(p, target_point) for p in pts])
+        target_point = pts[-1]
+    profile = dist(pts, target_point, orbit.metric_kind)
     seq = BreakerSequence(times=times, target=target_point,
                           cauchy_profile=profile,
                           gamma_targets=tuple(two_targets))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circle import SuspensionPoint, build_denjoy, rotation_number
 from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
-                       circle_dist, dist, frac)
+                       circle_dist, circular_gaps, dist, frac)
 from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
                         find_f_sequences, probe_exponent)
 from .groups import build_b_sequence
@@ -100,16 +100,10 @@ class Scenario:
 # planar two-branch map (decaying sawtooth into the segment {0} x [0,1])
 
 
-def example1_map(t: float) -> np.ndarray:
+def example1_map(ts: np.ndarray) -> np.ndarray:
     """g(t) = (d/2^(k+1) + (1-d)/2^k, d or 1-d) with k = floor(t),
-    d = t - k; the second branch flips on odd k."""
-    k = math.floor(t)
-    d = t - k
-    first = d * 2.0 ** (-(k + 1)) + (1.0 - d) * 2.0 ** (-k)
-    return np.array([first, d if k % 2 == 0 else 1.0 - d])
-
-
-def _example1_batch(ts: np.ndarray) -> np.ndarray:
+    d = t - k, for each t of an (n,) array; the second branch flips on
+    odd k."""
     ks = np.floor(ts)
     ds = ts - ks
     first = ds * 2.0 ** (-(ks + 1)) + (1.0 - ds) * 2.0 ** (-ks)
@@ -120,8 +114,7 @@ def _example1_batch(ts: np.ndarray) -> np.ndarray:
 def example1_returns(params: dict):
     """The sawtooth orbit and two interleaved return sequences to
     (0, 1/2), found on params' grid over [t_min, t_max]."""
-    orbit = OrbitEvaluator(eval=example1_map, metric_kind=METRIC_EUCLIDEAN,
-                           eval_batch=_example1_batch)
+    orbit = OrbitEvaluator(example1_map, METRIC_EUCLIDEAN)
     seqs = find_f_sequences(orbit, np.array([0.0, 0.5]), count=2,
                             t_min=params["t_min"], t_max=params["t_max"],
                             grid=params["grid"])
@@ -135,7 +128,7 @@ def _rational_breaker(q: int, p: int, count: int = 24) -> FSequence:
     i = np.arange(1, count + 1)
     times = np.where(i % 2 == 1, q * i + 0.5, q * i + 1.5)
     target = np.array([0.0, 0.5])
-    pts = _example1_batch(times.astype(float))
+    pts = example1_map(times.astype(float))
     profile = dist(pts, target, METRIC_EUCLIDEAN)
     return FSequence(times.astype(float), target, profile)
 
@@ -147,12 +140,12 @@ def _run_example1(params: dict) -> RunReport:
     one = basis.symbol("1")
     sqrt2 = basis.symbol("sqrt2")
 
-    g_half = example1_map(0.5)
+    g_half = orbit.eval(0.5)
     report.check("g(0.5) = (0.75, 0.5)",
                  np.allclose(g_half, [0.75, 0.5], atol=1e-12),
                  g_half.tolist(), "closed form")
     n = 30
-    d_return = float(np.linalg.norm(example1_map(n + 0.5) - [0.0, 0.5]))
+    d_return = float(np.linalg.norm(orbit.eval(n + 0.5) - [0.0, 0.5]))
     report.check("f(n + 1/2) -> (0, 1/2)", d_return <= 2.0 ** (-n + 1),
                  d_return, f"n = {n}")
 
@@ -202,21 +195,18 @@ def spiral_orbit(alpha: float, beta: float) -> OrbitEvaluator:
     speed beta) to the circle r = 1 (rotation speed alpha)."""
 
     def angle(ts):
-        ts = np.asarray(ts, dtype=float)
         soft = np.log1p(np.exp(-np.abs(ts)))  # = ln(e^t+1) - max(t, 0)
         la = np.maximum(ts, 0.0) + soft
         lb = np.maximum(-ts, 0.0) + soft
         return alpha * la - beta * lb + (beta - alpha) * LN2
 
     def batch(ts):
-        ts = np.asarray(ts, dtype=float)
         # exp(-t) overflows to inf for t < -EXP_ARG_MAX, where r is 0
         e = np.exp(-ts, out=np.full_like(ts, np.inf), where=ts >= -EXP_ARG_MAX)
         r = 1.0 / (1.0 + e)
         return np.stack([frac(angle(ts)), r], axis=1)
 
-    return OrbitEvaluator(eval=lambda t: batch([t])[0],
-                          metric_kind=METRIC_CYLINDER, eval_batch=batch)
+    return OrbitEvaluator(batch, METRIC_CYLINDER)
 
 
 def spiral_returns(params: dict):
@@ -238,8 +228,6 @@ def _run_spiral(params: dict) -> RunReport:
     alpha, beta = basis.symbol("alpha"), basis.symbol("beta")
     orbit, seqs = spiral_returns({**params, "alpha": alpha.eval(),
                                   "beta": beta.eval()})
-    fwd = OrbitEvaluator(eval=orbit.eval, metric_kind=METRIC_CYLINDER,
-                         eval_batch=orbit.eval_batch, forward_only=True)
 
     p0 = orbit.eval(0.0)
     report.check("f(0) = (0, 1/2)",
@@ -252,17 +240,17 @@ def _run_spiral(params: dict) -> RunReport:
 
     report.check("forward return sequences found", len(seqs) == 2, len(seqs))
 
-    rep = probe_exponent(fwd, alpha, seqs, tol_limit=params["tol_limit"])
+    rep = probe_exponent(orbit, alpha, seqs, tol_limit=params["tol_limit"])
     report.check("forward probe accepts alpha", rep.verdict == "ACCEPTED",
                  rep.verdict)
 
     # forward breaker: angle trace pinned, frac(beta * t) alternates
     fwd_breaker = build_breaker_sequence(
-        fwd, beta, frequencies=[alpha], fixed_targets=[0.0],
+        orbit, beta, frequencies=[alpha], fixed_targets=[0.0],
         two_targets=(0.0, 0.5), count=params["breaker_count"],
         eps_schedule=lambda i: 0.5 / i, cauchy_tol=params["cauchy_tol"],
         search_bound=params["search_bound"])
-    rep = probe_exponent(fwd, beta, seqs, breakers=[fwd_breaker],
+    rep = probe_exponent(orbit, beta, seqs, breakers=[fwd_breaker],
                          cauchy_tol=params["cauchy_tol"])
     report.check("forward probe rejects beta", rep.verdict == "REJECTED",
                  rep.verdict)
@@ -300,22 +288,19 @@ def denjoy_suspension_orbit(d, w_star: float):
     th = d.theta_val
 
     def batch(ts):
-        ts = np.asarray(ts, dtype=float)
         ks = np.floor(ts)
-        ws = (w_star + ks * th) % 1.0
+        ws = frac(w_star + ks * th)
         idx = np.searchsorted(pos, ws, side="left")
         x = (ws + cum[idx]) / total
         return np.stack([ts - ks, x], axis=1)
 
-    return OrbitEvaluator(eval=lambda t: batch([t])[0],
-                          metric_kind=METRIC_TORUS, eval_batch=batch)
+    return OrbitEvaluator(batch, METRIC_TORUS)
 
 
 def _widest_gap_midpoint(points: np.ndarray) -> tuple[float, float]:
     """Midpoint of the largest circular gap between the given circle
     points, and the half-width of that gap."""
-    p = np.sort(points % 1.0)
-    gaps = np.diff(p, append=p[0] + 1.0)
+    p, gaps = circular_gaps(points)
     k = int(np.argmax(gaps))
     return frac(p[k] + gaps[k] / 2.0), float(gaps[k] / 2.0)
 

@@ -101,7 +101,7 @@ class SolenoidPoint:
     stages: np.ndarray  # (..., depth, kappa) circle coordinates in [0,1)
 
     def __post_init__(self):
-        self.stages = np.asarray(self.stages, dtype=float) % 1.0
+        self.stages = frac(np.asarray(self.stages, dtype=float))
 
     def consistency_residual(self, system: SolenoidSystem) -> float:
         """Largest torus distance between stage i and M_i times stage
@@ -109,7 +109,7 @@ class SolenoidPoint:
         if not system.matrices:
             return 0.0
         fine = self.stages[..., 1:, :, None]
-        images = (np.array(system.matrices) @ fine)[..., 0] % 1.0
+        images = frac((np.array(system.matrices) @ fine)[..., 0])
         return float(dist(images, self.stages[..., :-1, :], METRIC_TORUS).max())
 
     def check_consistent(self, system: SolenoidSystem, tol=TOL_CONSIST):
@@ -161,11 +161,11 @@ def flow_step(spec: LinearFlowSpec, t: float, x: SolenoidPoint,
 def point_add(x: SolenoidPoint, y: SolenoidPoint) -> SolenoidPoint:
     if x.stages.shape != y.stages.shape:
         raise ValueError("points live on different systems")
-    return SolenoidPoint((x.stages + y.stages) % 1.0)
+    return SolenoidPoint(frac(x.stages + y.stages))
 
 
 def point_neg(x: SolenoidPoint) -> SolenoidPoint:
-    return SolenoidPoint((-x.stages) % 1.0)
+    return SolenoidPoint(frac(-x.stages))
 
 
 def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
@@ -181,8 +181,7 @@ def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
     """
     times = np.asarray(times, dtype=float)
     if orbit is not None:
-        pts = [orbit.eval(t) for t in times[-tail:]]
-        spread = max(orbit.metric(p, q) for p in pts for q in pts)
+        spread = orbit.spread(times[-tail:])
         if spread > tol_orbit:
             raise NonConvergentError(
                 f"times are not an f-sequence: orbit tail spread {spread:.3g}")

@@ -291,10 +291,8 @@ def test_criterion_11_property_suites(criterion_report):
 
     # verdict-level covariance of the probe under time rescaling
     def orbit(speed):
-        return OrbitEvaluator(
-            eval=lambda t: np.array([frac(speed * t)]),
-            metric_kind=METRIC_TORUS,
-            eval_batch=lambda ts: frac(speed * np.asarray(ts))[:, None])
+        return OrbitEvaluator(lambda ts: frac(speed * ts)[:, None],
+                              METRIC_TORUS)
 
     base = orbit(1.0)
     base_seqs = find_f_sequences(base, [0.0], t_max=40.5, grid=0.05)

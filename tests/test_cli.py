@@ -198,6 +198,19 @@ def test_exponents_probe_unknown_kind(tmp_path, capsys):
     assert "unknown orbit kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec,missing", [
+    ({"kind": "spiral", "beta": math.sqrt(3)}, "alpha"),
+    ({"kind": "spiral", "alpha": math.sqrt(2)}, "beta"),
+    ({"kind": "denjoy-suspension"}, "theta"),
+])
+def test_exponents_probe_missing_key(tmp_path, capsys, spec, missing):
+    assert main(["exponents", "probe",
+                 "--orbit", write(tmp_path, "orbit.json", spec),
+                 "--candidates", write(tmp_path, "cands.json", [1])]) == 1
+    assert capsys.readouterr().err.strip() == (
+        f"error: orbit kind {spec['kind']!r} needs {missing!r}")
+
+
 def test_kronecker_solve(capsys):
     assert main(["kronecker", "solve", "--freqs", "1,sqrt2",
                  "--targets", "1/4,1/2", "--eps", "0.01",

@@ -7,28 +7,23 @@ from apexp.circmath import (METRIC_EUCLIDEAN, METRIC_TORUS, circle_dist,
                             circular_spread, frac)
 from apexp.exponents import (FSequence, IncompatibleTargetsError,
                              KroneckerQuery, NonConvergentError,
-                             OrbitEvaluator, build_breaker_sequence,
-                             find_f_sequences, induced_circle_map,
-                             kronecker_solve, probe_exponent,
-                             scan_almost_periods)
+                             OrbitEvaluator, _refine_minima,
+                             build_breaker_sequence, find_f_sequences,
+                             induced_circle_map, kronecker_solve,
+                             probe_exponent, scan_almost_periods)
+from apexp.scenarios import example1_map, spiral_orbit
 
 THETA = math.sqrt(2.0) / 2.0
 
 
 def circle_orbit(speed=1.0):
     """frac(speed * t) on the circle, with a vectorized evaluator."""
-    return OrbitEvaluator(
-        eval=lambda t: np.array([frac(speed * t)]),
-        metric_kind=METRIC_TORUS,
-        eval_batch=lambda ts: frac(speed * ts)[:, None])
+    return OrbitEvaluator(lambda ts: frac(speed * ts)[:, None], METRIC_TORUS)
 
 
 def torus_orbit(omega):
     omega = np.asarray(omega, dtype=float)
-    return OrbitEvaluator(
-        eval=lambda t: frac(omega * t),
-        metric_kind=METRIC_TORUS,
-        eval_batch=lambda ts: frac(np.outer(ts, omega)))
+    return OrbitEvaluator(lambda ts: frac(np.outer(ts, omega)), METRIC_TORUS)
 
 
 class TestFindFSequences:
@@ -60,14 +55,78 @@ class TestFindFSequences:
         assert 5 not in hits
 
     def test_none_found(self):
-        orbit = OrbitEvaluator(eval=lambda t: np.array([t]),
-                               metric_kind=METRIC_EUCLIDEAN)
+        orbit = OrbitEvaluator(lambda ts: ts[:, None], METRIC_EUCLIDEAN)
         assert find_f_sequences(orbit, target=[-3.0], t_max=30.0,
                                 grid=0.1) == []
 
     def test_unbounded_flag(self):
         assert FSequence(np.array([5.0, 200.0]), [0.0], [0, 0]).unbounded
         assert not FSequence(np.array([5.0, 20.0]), [0.0], [0, 0]).unbounded
+
+
+def scalar_refine(orbit, target, lo, hi, iters):
+    """Reference golden-section refinement of one bracketed distance
+    minimum, one orbit point and one metric call at a time."""
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+
+    def d(t):
+        return orbit.metric(orbit.eval(t), target)
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, dd = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = d(c), d(dd)
+    for _ in range(iters):
+        if fc < fd:
+            b, dd, fd = dd, c, fc
+            c = b - invphi * (b - a)
+            fc = d(c)
+        else:
+            a, c, fc = c, dd, fd
+            dd = a + invphi * (b - a)
+            fd = d(dd)
+    t = 0.5 * (a + b)
+    return t, d(t)
+
+
+# (orbit, target, time range) of the sawtooth, the spiral and a torus line
+ORBITS = {
+    "example1": (OrbitEvaluator(example1_map, METRIC_EUCLIDEAN),
+                 [0.0, 0.5], (21.0, 200.0)),
+    "spiral": (spiral_orbit(math.sqrt(2.0), math.sqrt(3.0)),
+               [frac((math.sqrt(3.0) - math.sqrt(2.0)) * math.log(2.0)), 1.0],
+               (-40.0, 40.0)),
+    "torus": (torus_orbit([1.0, THETA]), [0.0, 0.0], (0.5, 120.0)),
+}
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("name", sorted(ORBITS))
+    def test_refinement_matches_scalar_loop(self, name):
+        # all brackets refined at once give the bits of one-by-one loops
+        orbit, target, (t0, t1) = ORBITS[name]
+        rng = np.random.default_rng(len(name))
+        centers = rng.uniform(t0, t1, 40)
+        half = rng.uniform(1e-3, 0.05, 40)
+        lo, hi = centers - half, centers + half
+        ts, ds = _refine_minima(orbit, target, lo, hi, 60)
+        ref = [scalar_refine(orbit, target, a, b, 60) for a, b in zip(lo, hi)]
+        assert ts.tolist() == [t for t, _ in ref]
+        assert ds.tolist() == [d for _, d in ref]
+
+    @pytest.mark.parametrize("name", sorted(ORBITS))
+    def test_spread_is_max_pairwise_metric(self, name):
+        orbit, _, (t0, t1) = ORBITS[name]
+        times = np.random.default_rng(len(name)).uniform(t0, t1, 12)
+        pts = [orbit.eval(t) for t in times]
+        ref = max(orbit.metric(p, q) for p in pts for q in pts)
+        assert orbit.spread(times) == ref
+        assert orbit.spread(times[:1]) == 0.0
+
+    def test_eval_is_the_batch_row(self):
+        orbit, _, _ = ORBITS["example1"]
+        ts = np.array([0.5, 1.5, 30.5])
+        assert [orbit.eval(t).tolist() for t in ts] == orbit.batch(ts).tolist()
 
 
 class TestProbeExponent:
@@ -155,9 +214,7 @@ class TestAlmostPeriods:
         assert rep.max_gap <= 25.0
 
     def test_divergent_flow_has_none(self):
-        orbit = OrbitEvaluator(eval=lambda t: np.array([t]),
-                               metric_kind=METRIC_EUCLIDEAN,
-                               eval_batch=lambda ts: ts[:, None])
+        orbit = OrbitEvaluator(lambda ts: ts[:, None], METRIC_EUCLIDEAN)
         rep = scan_almost_periods(orbit, epsilon=0.1, t_max=20.0, grid=0.5)
         assert rep.taus.size == 0
         assert rep.max_gap == float("inf")
@@ -261,6 +318,25 @@ class TestKroneckerSolve:
         t = kronecker_solve(q)
         assert t is not None and t <= -1.0
         assert circle_dist(THETA * t, 0.3) < 0.01
+
+    def test_negate_time_tiny_target(self, monkeypatch):
+        # -1e-20 % 1.0 rounds to 1.0; the scan must be given 0.0 instead
+        from apexp import exponents
+        from apexp.kernels import kron_scan_grid
+        seen = []
+
+        def recording_scan(vals, targs, *args):
+            seen.append(list(targs))
+            return kron_scan_grid(vals, targs, *args)
+
+        monkeypatch.setattr(exponents, "kron_scan_grid", recording_scan)
+        ts = [kronecker_solve(KroneckerQuery(
+                  frequencies=[THETA], targets=[x], epsilon=0.01,
+                  search_bound=1e4, t_min=1.0, negate_time=True))
+              for x in (1e-20, 0.0)]
+        assert seen == [[0.0], [0.0]]
+        assert ts[0] == ts[1] <= -1.0
+        assert circle_dist(THETA * ts[0], 1e-20) < 0.01
 
 
 class TestBreakerSequences:

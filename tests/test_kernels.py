@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apexp.circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
-                            circle_dist, dist, frac)
+                            circle_dist, circular_gaps, dist, frac)
 from apexp.kernels import (FIRST_CHUNK, _chunks, almost_period_sup,
                            kron_scan_grid, kron_scan_integer)
 
@@ -251,8 +251,8 @@ MOD1_EDGES = [-0.0, 0.0, -5e-324, 5e-324, -1e-300, 1e-300, 1e17, -1e17,
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=30))
 def test_mod1_reduction_is_bit_for_bit(xs):
-    """frac, circle_dist and dist give the bits of Python's % 1.0 loops,
-    on arrays and on Python scalars alike."""
+    """frac, circle_dist, dist and circular_gaps give the bits of Python's
+    % 1.0 loops, on arrays and on Python scalars alike."""
     xs = xs + MOD1_EDGES
     arr = np.array(xs)
 
@@ -266,6 +266,9 @@ def test_mod1_reduction_is_bit_for_bit(xs):
     for kind in (METRIC_TORUS, METRIC_CYLINDER):
         assert bits(dist(arr[:, None], [0.0], kind).tolist()) == bits(
             oracle_dist([x], [0.0], kind) for x in xs)
+    v = sorted(x % 1.0 for x in xs)
+    gaps = [q - p for p, q in zip(v, v[1:] + [v[0] + 1.0])]
+    assert [bits(a.tolist()) for a in circular_gaps(arr)] == [bits(v), bits(gaps)]
 
 class TestAlmostPeriodWindow:
     def test_window_semantics(self):

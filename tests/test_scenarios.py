@@ -73,14 +73,16 @@ def test_long_spiral_run_emits_no_warning():
 
 class TestOrbitHelpers:
     def test_example1_map_values(self):
-        assert np.allclose(example1_map(0.5), [0.75, 0.5])
-        assert np.allclose(example1_map(1.5), [0.375, 0.5])
+        g = example1_map(np.array([0.5, 1.5, 20.25]))
+        assert np.allclose(g[0], [0.75, 0.5])
+        assert np.allclose(g[1], [0.375, 0.5])
         # distance to the limit segment {0} x [0,1] decays like 2^-k
-        assert example1_map(20.25)[0] < 2.0 ** -19
+        assert g[2, 0] < 2.0 ** -19
 
     def test_example1_second_branch_flips(self):
-        assert example1_map(2.25)[1] == pytest.approx(0.25)
-        assert example1_map(3.25)[1] == pytest.approx(0.75)
+        g = example1_map(np.array([2.25, 3.25]))
+        assert g[0, 1] == pytest.approx(0.25)
+        assert g[1, 1] == pytest.approx(0.75)
 
     def test_spiral_limits(self):
         a, b = math.sqrt(2.0), math.sqrt(3.0)

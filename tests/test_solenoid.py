@@ -178,13 +178,13 @@ class TestSemiconjugacy:
         self.th = self.ctx.symbol("theta").eval()
         lift = rotation_lift(self.th)
 
-        def ev(t):
+        def points(ts):
             p = SuspensionPoint(0.0, 0.0)
             from apexp.circle import suspension_flow
-            q = suspension_flow(lift, float(t), p)
-            return np.array([q.s, q.x])
+            qs = [suspension_flow(lift, float(t), p) for t in ts]
+            return np.array([[q.s, q.x] for q in qs])
 
-        self.orbit = OrbitEvaluator(eval=ev, metric_kind=METRIC_TORUS)
+        self.orbit = OrbitEvaluator(points, METRIC_TORUS)
 
     def test_constant_sequence_maps_to_identity(self):
         times = np.zeros(12)
@@ -206,6 +206,13 @@ class TestSemiconjugacy:
             a, b = mu_rotation(self.ctx.symbol("theta"), p)
             assert circle_dist(float(pt.stages[0][0]), b) <= 1e-2
             assert circle_dist(float(pt.stages[0][1]), a) <= 1e-2
+
+    def test_orbit_tail_spread_rejected(self):
+        # one time of the 8-point tail leaves the orbit's limit point
+        times = np.zeros(12)
+        times[-5] = 0.5
+        with pytest.raises(NonConvergentError, match="not an f-sequence"):
+            semiconjugacy_to_solenoid(self.orbit, self.seq, times)
 
     def test_non_convergent_rejected(self):
         times = np.arange(1.0, 13.0) * 0.37
