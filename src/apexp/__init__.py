@@ -17,9 +17,8 @@ from .circle import (CircleLift, DenjoyMap, SuspensionPoint, build_denjoy,
                      suspension_flow, suspension_semiconjugacy)
 from .realfield import RealVector, SymbolBasis
 from .scenarios import SCENARIOS, run_scenario
-from .solenoid import (LinearFlowSpec, SolenoidPoint, SolenoidSystem,
-                       flow_step, pi_solenoid, point_add,
-                       semiconjugacy_to_solenoid)
+from .solenoid import (SolenoidPoint, SolenoidSystem, flow_step,
+                       pi_solenoid, point_add, semiconjugacy_to_solenoid)
 
 __version__ = "0.1.0"
 
@@ -35,7 +34,7 @@ __all__ = [
     "suspension_semiconjugacy",
     "RealVector", "SymbolBasis",
     "SCENARIOS", "run_scenario",
-    "LinearFlowSpec", "SolenoidPoint", "SolenoidSystem", "flow_step",
+    "SolenoidPoint", "SolenoidSystem", "flow_step",
     "pi_solenoid", "point_add", "semiconjugacy_to_solenoid",
     "__version__",
 ]

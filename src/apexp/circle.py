@@ -51,18 +51,13 @@ class PrecisionError(ValueError):
 
 
 class CircleLift:
-    """Lift of a degree-one orientation-preserving circle map."""
+    """Lift of a degree-one orientation-preserving circle map, validated
+    on construction."""
 
-    CLOSED_FORM = "CLOSED_FORM"
-    DENJOY = "DENJOY"
-    SAMPLED = "SAMPLED"
-
-    def __init__(self, f, kind: str, inverse=None, validate: bool = True):
+    def __init__(self, f, inverse=None):
         self.f = f
-        self.kind = kind
         self._inverse = inverse
-        if validate:
-            self.validate()
+        self.validate()
 
     def __call__(self, x: float) -> float:
         return self.f(x)
@@ -109,8 +104,7 @@ class CircleLift:
 def rotation_lift(theta: float) -> CircleLift:
     """Lift of the rigid rotation by theta."""
     t0 = frac(theta)
-    return CircleLift(lambda x, _t=t0: x + _t, CircleLift.CLOSED_FORM,
-                      inverse=lambda y, _t=t0: y - _t)
+    return CircleLift(lambda x, _t=t0: x + _t, inverse=lambda y, _t=t0: y - _t)
 
 
 _ALLOWED_FUNCS = {"sin": math.sin, "cos": math.cos}
@@ -150,7 +144,7 @@ def _eval_expr(node, x: float) -> float:
 def closed_form_lift(expr: str) -> CircleLift:
     """Lift from a tiny arithmetic grammar: x, numbers, + - * /, sin, cos, pi."""
     tree = ast.parse(expr, mode="eval")
-    return CircleLift(lambda x: _eval_expr(tree, x), CircleLift.CLOSED_FORM)
+    return CircleLift(lambda x: _eval_expr(tree, x))
 
 
 def sampled_lift(xs, ys) -> CircleLift:
@@ -167,7 +161,7 @@ def sampled_lift(xs, ys) -> CircleLift:
         k = math.floor(x)
         return float(np.interp(x - k, xg, yg)) + k
 
-    return CircleLift(f, CircleLift.SAMPLED)
+    return CircleLift(f)
 
 
 def rotation_number(lift: CircleLift, x0: float = 0.0, n: int = 10000):
@@ -305,7 +299,7 @@ def build_denjoy(theta: RealVector, lam=Fraction(1, 2), trunc: int = 40,
         k = math.floor(y - y0)
         return f0_inv((y - k) % 1.0) + k
 
-    d.lift = CircleLift(lift_f, CircleLift.DENJOY, inverse=lift_inv)
+    d.lift = CircleLift(lift_f, inverse=lift_inv)
     return d
 
 

@@ -23,7 +23,7 @@ from .exponents import KroneckerQuery, kronecker_solve
 from .groups import FinGenSubgroup, build_b_sequence, decide_equivalence
 from .realfield import RealVector, SymbolBasis, format_rational, parse_rational
 from .scenarios import SCENARIOS, run_scenario
-from .solenoid import LinearFlowSpec, SolenoidSystem, pi_solenoid
+from .solenoid import SolenoidSystem, pi_solenoid
 
 
 def _load_json(path):
@@ -120,13 +120,12 @@ def _cmd_group_equiv(args):
 
 def _cmd_solenoid_flow(args):
     system = SolenoidSystem.from_json(_load_json(args.system))
-    spec = LinearFlowSpec(system)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         print("t,stage," + ",".join(f"coord{j}" for j in range(system.kappa)),
               file=out)
         ts = _t_grid(args.t_grid)
-        for t, stages in zip(ts, pi_solenoid(spec, ts).stages):
+        for t, stages in zip(ts, pi_solenoid(system, ts).stages):
             for i, stage in enumerate(stages):
                 row = ",".join(f"{c:.12f}" for c in stage)
                 print(f"{t:.6f},{i + 1},{row}", file=out)

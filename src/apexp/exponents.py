@@ -40,6 +40,7 @@ __all__ = [
 TOL_ORBIT = 1e-6
 TOL_LIMIT = 1e-3
 GAP_MIN = 0.1
+CAUCHY_TOL = 0.05
 UNBOUNDED_THRESHOLD = 100.0
 
 
@@ -103,8 +104,7 @@ class FSequence:
 
 def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
                      t_max: float = 1000.0, tol_orbit: float = TOL_ORBIT,
-                     grid: float = 0.01, t_min: float = 0.0,
-                     refine_iters: int = 60) -> list[FSequence]:
+                     grid: float = 0.01, t_min: float = 0.0) -> list[FSequence]:
     """Grid-scan [t_min, t_max] for near-returns to the target, refine
     each local minimum of the distance, and split the accepted return
     times into `count` interleaved sequences.
@@ -122,8 +122,8 @@ def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
     idx = idx[dists[idx] <= 10 * tol_orbit + 0.2]  # others are not worth refining
     if not idx.size:
         return []
-    t, d = _refine_minima(orbit, target, ts[idx] - grid, ts[idx] + grid,
-                          refine_iters)
+    # 60 golden-section steps shrink each bracket by 0.618**60, about 3e-13
+    t, d = _refine_minima(orbit, target, ts[idx] - grid, ts[idx] + grid, 60)
     t, d = t[d <= tol_orbit], d[d <= tol_orbit]
     order = np.lexsort((d, t))
     times, profile = t[order], d[order]
@@ -195,14 +195,14 @@ def _two_clusters(values):
 def probe_exponent(orbit: OrbitEvaluator, candidate,
                    sequences: Sequence[FSequence],
                    breakers: Sequence[FSequence] = (),
-                   tol_limit: float = TOL_LIMIT, gap_min: float = GAP_MIN,
-                   cauchy_tol: float = 0.05, tail: int = 10) -> ExponentProbeReport:
+                   tol_limit: float = TOL_LIMIT, cauchy_tol: float = CAUCHY_TOL,
+                   tail: int = 10) -> ExponentProbeReport:
     """Three-valued membership evidence for a candidate exponent.
 
     ACCEPTED: frac(candidate * t_i) has tail spread <= tol_limit on
     every supplied sequence.  REJECTED: some sequence (typically a
     breaker) passes the orbit Cauchy check while its trace clusters at
-    two values >= gap_min apart.  INCONCLUSIVE otherwise.
+    two values >= GAP_MIN apart.  INCONCLUSIVE otherwise.
     """
     if not sequences and not breakers:
         raise ValueError("at least one sequence is required")
@@ -218,7 +218,7 @@ def probe_exponent(orbit: OrbitEvaluator, candidate,
         split = _two_clusters(trace)
         if split is not None:
             c1, s1, c2, s2, gap = split
-            if gap >= gap_min and max(s1, s2) < gap / 2:
+            if gap >= GAP_MIN and max(s1, s2) < gap / 2:
                 orbit_spread = seq.verify_cauchy(orbit, tail=tail)
                 if orbit_spread <= cauchy_tol:
                     return ExponentProbeReport(
@@ -294,9 +294,10 @@ def kronecker_solve(query: KroneckerQuery):
     When some frequency equals 1 the scan runs over t = n + lift(target)
     for integers n (exact in that coordinate); otherwise a uniform grid
     of resolution epsilon / (4 max |freq|) is scanned.  Every returned t
-    is rechecked exactly against the requested epsilon.  On the integer
-    path a float hit that fails the recheck is skipped and the scan goes
-    on from the next integer; on the grid path it raises
+    is rechecked exactly against the requested epsilon.  A float hit
+    that fails the recheck is skipped and the scan goes on from the next
+    integer, or on the grid path from t + step; a kernel that returns a
+    point before its range, or a t that t + step does not pass, raises
     VerificationError.
     """
     query.validate()
@@ -329,10 +330,17 @@ def kronecker_solve(query: KroneckerQuery):
             n0 = n_hit + 1
     else:
         step = eps / (4.0 * np.max(np.abs(vals)))
-        t = kron_scan_grid(vals, targs, eps, query.t_min,
-                           float(query.search_bound), step)
-        if not (np.isnan(t) or _exactly_within(vals, targs, eps, t)):
-            raise VerificationError(f"scan returned t = {t!r}, not within {eps!r}")
+        t0 = query.t_min
+        while True:
+            t = kron_scan_grid(vals, targs, eps, t0, float(query.search_bound), step)
+            if np.isnan(t) or _exactly_within(vals, targs, eps, t):
+                break
+            # rounding let a float hit through: scan on from the next grid
+            # point, which must lie past the rejected one
+            if t < t0 or not t + step > t:
+                raise VerificationError(f"scan returned t = {t!r}, "
+                                        f"which does not advance from t0 = {t0!r}")
+            t0 = t + step
     return None if np.isnan(t) else float(t)
 
 
@@ -360,21 +368,19 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
                            relations: list[list[int]] = (),
                            search_bound: float = 1e7,
                            eps_schedule: Callable[[int], float] | None = None,
-                           gap_min: float = GAP_MIN,
                            min_time_gap: float = 1.0,
-                           cauchy_tol: float = 0.05,
-                           target_point=None,
+                           cauchy_tol: float = CAUCHY_TOL,
                            negate_time: bool = False):
     """Interleave solution times whose frequency traces converge to the
     fixed targets while the gamma trace alternates between two_targets
     with tolerance shrinking like 1/i.
 
     Returns None (NOT_FOUND) when the targets cannot oscillate: either
-    they are closer than gap_min (the consistency-refusal case) or a
+    they are closer than GAP_MIN (the consistency-refusal case) or a
     relation compatibility check fails.  Raises NonConvergentError when
     the collected times fail the orbit Cauchy check.
     """
-    if circle_dist(two_targets[0], two_targets[1]) < gap_min:
+    if circle_dist(two_targets[0], two_targets[1]) < GAP_MIN:
         return None
     if eps_schedule is None:
         eps_schedule = lambda i: 1.0 / i
@@ -401,10 +407,8 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
         t_prev = abs(t)
     times = np.array(times)
     pts = orbit.batch(times)
-    if target_point is None:
-        target_point = pts[-1]
-    profile = dist(pts, target_point, orbit.metric_kind)
-    seq = BreakerSequence(times=times, target=target_point,
+    profile = dist(pts, pts[-1], orbit.metric_kind)
+    seq = BreakerSequence(times=times, target=pts[-1],
                           cauchy_profile=profile,
                           gamma_targets=tuple(two_targets))
     spread = seq.verify_cauchy(orbit)

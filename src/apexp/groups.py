@@ -3,7 +3,8 @@
 Membership and bases are decided by clearing denominators to a common
 integer lattice and taking its unique Hermite normal form.  The staged
 construction adjoins group elements one at a time and records the
-integer change-of-basis matrix between consecutive stage bases.
+integer change-of-basis matrix between consecutive stage bases; a tower
+of stage bases and bonding matrices is checked on the same integer rows.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "DependentGeneratorsError",
     "OutOfSpanError",
     "VerificationError",
+    "bonding_fault",
     "build_b_sequence",
     "decide_equivalence",
 ]
@@ -50,6 +52,44 @@ def _require(ok: bool, what: str) -> None:
         raise VerificationError(what)
 
 
+def _clear_denominators(vectors: list[RealVector]) -> tuple[int, list[list[int]]]:
+    """(d, rows): d is the lcm of the denominators of all coordinates of
+    the vectors, and rows[k] the integer coordinates of d * vectors[k]."""
+    dense = [v.dense() for v in vectors]
+    d = lcm(1, *(q.denominator for row in dense for q in row))
+    return d, [[q.numerator * (d // q.denominator) for q in row] for row in dense]
+
+
+def bonding_fault(stage_bases: list[list[RealVector]],
+                  matrices: list[list[list[int]]]) -> str | None:
+    """First failure of the tower b^i = M_i b^{i+1}, or None when it holds.
+
+    stage_bases[i - 1] is the stage-i basis b^i and matrices[i - 1] the
+    integer bonding matrix M_i, which must be nonsingular.  Each stage is
+    cleared once to (d_i, P_i) with b^i = P_i / d_i, so the identity is
+    the integer equation d_{i+1} P_i = d_i M_i P_{i+1}.
+    """
+    if len(stage_bases) != len(matrices) + 1:
+        return f"{len(stage_bases)} stage bases for {len(matrices)} bonding matrices"
+    kappa = len(stage_bases[0])
+    for i, basis in enumerate(stage_bases, start=1):
+        if len(basis) != kappa:
+            return f"stage {i} basis does not have kappa = {kappa} vectors"
+    cleared = [_clear_denominators(basis) for basis in stage_bases]
+    for i, m in enumerate(matrices, start=1):
+        if [len(row) for row in m or ()] != [kappa] * kappa:
+            return f"bonding matrix M_{i} is not {kappa} x {kappa}"
+        if len(hnf_rows(m)) != kappa:
+            return f"bonding matrix M_{i} is singular"
+        (d, coarse), (d_next, fine) = cleared[i - 1], cleared[i]
+        for r in range(kappa):
+            image = [sum(m[r][s] * fine[s][j] for s in range(kappa))
+                     for j in range(len(coarse[r]))]
+            if [d_next * c for c in coarse[r]] != [d * c for c in image]:
+                return f"stage {i} row {r} identity fails: b^{i} != M_{i} b^{i + 1}"
+    return None
+
+
 class FinGenSubgroup:
     """<generators>_Z inside the Q-span of a symbol basis.
 
@@ -63,10 +103,7 @@ class FinGenSubgroup:
                 raise ValueError("generator uses a different symbol basis")
         self.basis_ctx = basis_ctx
         self.generators = list(generators)
-        n = len(basis_ctx.symbols)
-        dense = [g.dense(n) for g in generators]
-        self._denom = lcm(1, *(q.denominator for row in dense for q in row))
-        int_rows = [[int(q * self._denom) for q in row] for row in dense]
+        self._denom, int_rows = _clear_denominators(self.generators)
         self._hnf = hnf_rows(int_rows)
         self._lattice_basis = [
             RealVector(basis_ctx,
@@ -103,8 +140,16 @@ class FinGenSubgroup:
         return self.rank == 0
 
     def same_group(self, other: "FinGenSubgroup") -> bool:
-        return (all(self.contains(b) for b in other.basis())
-                and all(other.contains(b) for b in self.basis()))
+        """Equality as subgroups of (R, +).
+
+        (_denom, _hnf) is a canonical form of the group: every element is
+        an integer combination of the generators, so the lcm of the
+        generators' denominators is the lcm over the whole group, and the
+        HNF of the group scaled by it is unique.
+        """
+        if self.basis_ctx != other.basis_ctx:
+            raise ValueError("the groups use different symbol bases")
+        return (self._denom, self._hnf) == (other._denom, other._hnf)
 
     def to_json(self) -> dict:
         return {"basis": self.basis_ctx.to_json(),
@@ -155,22 +200,10 @@ class BSequence:
     def verify(self) -> None:
         """Recheck every structural invariant; raises VerificationError."""
         _require(self.stages[0].basis == self.b, "stage 1 basis differs from B")
-        for i, stage in enumerate(self.stages, start=1):
-            _require(len(stage.basis) == self.kappa,
-                     f"stage {i} basis does not have kappa vectors")
+        fault = bonding_fault([s.basis for s in self.stages], self.matrices())
+        _require(fault is None, fault)
         for i in range(1, len(self.stages)):
             prev, cur = self.stages[i - 1], self.stages[i]
-            mat = cur.matrix
-            _require(mat is not None and len(mat) == self.kappa,
-                     f"stage {i + 1} bonding matrix does not have kappa rows")
-            for r in range(self.kappa):
-                acc = self.basis_ctx.zero()
-                for s in range(self.kappa):
-                    acc = acc + cur.basis[s].scale(mat[r][s])
-                _require(acc == prev.basis[r],
-                         f"stage {i + 1} row {r} identity fails")
-            _require(len(hnf_rows(mat)) == self.kappa,
-                     f"stage {i + 1} bonding matrix is singular")
             _require(cur.lattice.contains(self.elements[i]),
                      f"stage {i + 1} lattice misses its adjoined element")
             _require(all(cur.lattice.contains(v) for v in prev.basis),
@@ -226,9 +259,8 @@ def build_b_sequence(b: list[RealVector], elements: list[RealVector],
                                  lattice=prev.lattice))
             continue
         lattice = FinGenSubgroup(ctx, prev.basis + [h])
+        # h passed solve_rational above, so the rank stays kappa
         basis = lattice.basis()
-        if len(basis) != len(b):
-            raise OutOfSpanError("stage rank changed; element outside span_Q(B)")
         mat = []
         for v in prev.basis:
             coeffs = lattice.coefficients(v)
@@ -259,14 +291,8 @@ def _scaled_generators(group: FinGenSubgroup, a):
 
 
 def _verify_scalar(m: FinGenSubgroup, n: FinGenSubgroup, a) -> bool:
-    """Exact two-sided check that M = a*N."""
-    scaled = _scaled_generators(n, a)
-    if not all(m.contains(v) for v in scaled):
-        return False
-    # m_gen in a*N  <=>  a^{-1} m_gen in N; avoid inverses by membership
-    # in the lattice generated by the scaled basis
-    a_n = FinGenSubgroup(n.basis_ctx, scaled)
-    return all(a_n.contains(g) for g in m.basis())
+    """Exact check that M = a*N."""
+    return m.same_group(FinGenSubgroup(n.basis_ctx, _scaled_generators(n, a)))
 
 
 def decide_equivalence(m: FinGenSubgroup, n: FinGenSubgroup,

@@ -24,7 +24,7 @@ from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
                         find_f_sequences, probe_exponent)
 from .groups import build_b_sequence
 from .realfield import SymbolBasis
-from .solenoid import LinearFlowSpec, SolenoidSystem, pi_solenoid
+from .solenoid import SolenoidSystem, pi_solenoid
 
 __all__ = [
     "Expectation",
@@ -419,8 +419,7 @@ def _run_dyadic_solenoid(params: dict) -> RunReport:
                  all(m == [[2]] for m in mats), mats)
 
     system = SolenoidSystem.from_bsequence(seq)
-    spec = LinearFlowSpec(system)
-    pt = pi_solenoid(spec, 1.0)
+    pt = pi_solenoid(system, 1.0)
     expected = [frac(2.0 ** (-i)) for i in range(depth)]
     report.check("t = 1 stage coordinates halve",
                  all(circle_dist(float(s[0]), e) < 1e-12
@@ -428,7 +427,7 @@ def _run_dyadic_solenoid(params: dict) -> RunReport:
                  [float(s[0]) for s in pt.stages])
 
     ts = np.linspace(-100.0, 100.0, params["n_grid"])
-    worst = pi_solenoid(spec, ts).consistency_residual(system)
+    worst = pi_solenoid(system, ts).consistency_residual(system)
     report.check("consistency residual over the grid", worst <= 1e-9, worst)
 
     dual = system.dual_generator_group()

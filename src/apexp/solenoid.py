@@ -9,20 +9,18 @@ evaluated and checked in one array pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circmath import METRIC_TORUS, circular_mean, circular_spread, dist, frac
-from .exponents import TOL_LIMIT, NonConvergentError
-from .groups import BSequence, FinGenSubgroup
-from .intlinalg import hnf_rows
+from .exponents import TOL_LIMIT, TOL_ORBIT, NonConvergentError
+from .groups import BSequence, FinGenSubgroup, bonding_fault
 from .realfield import RealVector
 
 __all__ = [
     "SolenoidSystem",
     "SolenoidPoint",
-    "LinearFlowSpec",
     "InconsistentPointError",
     "NonConvergentError",
     "pi_solenoid",
@@ -47,21 +45,11 @@ class SolenoidSystem:
 
     def __post_init__(self):
         self.matrices = [np.asarray(m, dtype=np.int64) for m in self.matrices]
-        for m in self.matrices:
-            if m.shape != (self.kappa, self.kappa):
-                raise ValueError("bonding matrix has wrong shape")
-            if len(hnf_rows(m.tolist())) != self.kappa:
-                raise ValueError("bonding matrix is singular")
-        if len(self.stage_bases) != len(self.matrices) + 1:
-            raise ValueError("need one stage basis per torus stage")
-        # cross-check the exact stage identities b_r^i = sum M_i[r,s] b_s^{i+1}
-        for i, m in enumerate(self.matrices):
-            for r in range(self.kappa):
-                acc = self.stage_bases[0][0].basis.zero()
-                for s in range(self.kappa):
-                    acc = acc + self.stage_bases[i + 1][s].scale(int(m[r, s]))
-                if acc != self.stage_bases[i][r]:
-                    raise ValueError(f"stage identity fails at stage {i + 1} row {r}")
+        if any(m.shape != (self.kappa, self.kappa) for m in self.matrices):
+            raise ValueError("bonding matrix has wrong shape")
+        fault = bonding_fault(self.stage_bases, [m.tolist() for m in self.matrices])
+        if fault is not None:
+            raise ValueError(fault)
 
     @property
     def depth(self) -> int:
@@ -125,37 +113,21 @@ def zero_point(system: SolenoidSystem) -> SolenoidPoint:
     return SolenoidPoint(np.zeros((system.depth, system.kappa)))
 
 
-@dataclass
-class LinearFlowSpec:
-    system: SolenoidSystem
-    omega: list[RealVector] = field(default=None)
-
-    def __post_init__(self):
-        stage1 = self.system.stage_bases[0]
-        if self.omega is None:
-            self.omega = list(stage1)
-        elif list(self.omega) != list(stage1):
-            raise ValueError("omega must equal the stage-1 basis")
-        # (depth, kappa) frequency values, precomputed for speed
-        self._freqs = np.array([[v.eval() for v in basis]
-                                for basis in self.system.stage_bases])
-
-
-def pi_solenoid(spec: LinearFlowSpec, t) -> SolenoidPoint:
+def pi_solenoid(system: SolenoidSystem, t) -> SolenoidPoint:
     """The one-parameter subgroup point: stage i coord j = frac(t * b_j^i).
 
     t is a time or a 1-D array of times; an array gives a batch of
     points with stages of shape (len(t), depth, kappa).
     """
+    freqs = np.array([[v.eval() for v in basis] for basis in system.stage_bases])
     t = np.asarray(t, dtype=float)
-    return SolenoidPoint(frac(t[..., None, None] * spec._freqs))
+    return SolenoidPoint(frac(t[..., None, None] * freqs))
 
 
-def flow_step(spec: LinearFlowSpec, t: float, x: SolenoidPoint,
+def flow_step(system: SolenoidSystem, t: float, x: SolenoidPoint,
               tol=TOL_CONSIST) -> SolenoidPoint:
-    x.check_consistent(spec.system, tol)
-    moved = pi_solenoid(spec, t)
-    return point_add(x, moved)
+    x.check_consistent(system, tol)
+    return point_add(x, pi_solenoid(system, t))
 
 
 def point_add(x: SolenoidPoint, y: SolenoidPoint) -> SolenoidPoint:
@@ -169,7 +141,7 @@ def point_neg(x: SolenoidPoint) -> SolenoidPoint:
 
 
 def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
-                              tol_orbit=1e-6, tol_limit=TOL_LIMIT,
+                              tol_orbit=TOL_ORBIT, tol_limit=TOL_LIMIT,
                               tail: int = 8) -> SolenoidPoint:
     """Evaluate the semiconjugacy image of the point presented by an
     f-sequence: stage coordinates are the numeric limits of

@@ -22,8 +22,8 @@ from apexp.exponents import (KroneckerQuery, OrbitEvaluator,
 from apexp.groups import FinGenSubgroup, build_b_sequence, decide_equivalence
 from apexp.realfield import SymbolBasis
 from apexp.scenarios import run_scenario
-from apexp.solenoid import (LinearFlowSpec, SolenoidPoint, SolenoidSystem,
-                            flow_step, pi_solenoid)
+from apexp.solenoid import (SolenoidPoint, SolenoidSystem, flow_step,
+                            pi_solenoid)
 
 THETA = math.sqrt(2.0) / 2.0
 
@@ -218,8 +218,7 @@ def test_criterion_10_solenoid_flow(criterion_report):
     seq = build_b_sequence([one], [basis.zero()] + [
         one.scale(Fraction(1, 2 ** i)) for i in range(1, 8)], basis)
     system = SolenoidSystem.from_bsequence(seq)
-    spec = LinearFlowSpec(system)
-    worst_res = max(pi_solenoid(spec, float(t)).consistency_residual(system)
+    worst_res = max(pi_solenoid(system, float(t)).consistency_residual(system)
                     for t in np.linspace(-100, 100, 10000))
     ok = worst_res <= 1e-9
 
@@ -227,10 +226,10 @@ def test_criterion_10_solenoid_flow(criterion_report):
     worst_coc = 0.0
     for _ in range(1000):
         s, t, u = rng.uniform(-20, 20, size=3)
-        x = pi_solenoid(spec, float(u))
+        x = pi_solenoid(system, float(u))
         worst_coc = max(worst_coc,
-                        flow_step(spec, t + s, x)
-                        .dist(flow_step(spec, t, flow_step(spec, s, x))))
+                        flow_step(system, t + s, x)
+                        .dist(flow_step(system, t, flow_step(system, s, x))))
     ok &= worst_coc <= 1e-9
 
     # rotation-suspension case: the straightening map into the rank-2
@@ -240,7 +239,6 @@ def test_criterion_10_solenoid_flow(criterion_report):
     seq2 = build_b_sequence([ctx.symbol("1"), ctx.symbol("theta")],
                             [ctx.zero()], ctx)
     sys2 = SolenoidSystem.from_bsequence(seq2)
-    spec2 = LinearFlowSpec(sys2)
     lift = rotation_lift(THETA)
 
     def h(p):
@@ -252,7 +250,7 @@ def test_criterion_10_solenoid_flow(criterion_report):
         p = SuspensionPoint(float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
         t = float(rng.uniform(-10, 10))
         moved = h(suspension_flow(lift, t, p))
-        pushed = flow_step(spec2, t, h(p))
+        pushed = flow_step(sys2, t, h(p))
         worst_h = max(worst_h, moved.dist(pushed))
     ok &= worst_h <= 1e-5
     criterion_report(10, "depth-8 solenoid flow: grid residual and cocycle defect "

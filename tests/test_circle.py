@@ -29,16 +29,16 @@ def denjoy(theta_basis):
 class TestLifts:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError):
-            CircleLift(lambda x: x + 1.5, CircleLift.CLOSED_FORM)
+            CircleLift(lambda x: x + 1.5)
 
     def test_monotonicity_enforced(self):
         with pytest.raises(NotMonotoneError):
             CircleLift(lambda x: x - 0.5 * math.sin(2 * math.pi * x) / math.pi
-                       * 2.2, CircleLift.CLOSED_FORM)
+                       * 2.2)
 
     def test_degree_one_enforced(self):
         with pytest.raises(ValueError):
-            CircleLift(lambda x: 2 * x, CircleLift.CLOSED_FORM)
+            CircleLift(lambda x: 2 * x)
 
     def test_closed_form_grammar(self):
         lift = closed_form_lift("x + 0.3 + sin(2 * pi * x) / 10")

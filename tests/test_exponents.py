@@ -312,6 +312,54 @@ class TestKroneckerSolve:
                      if exact(float(n) + 0.5))
         assert not exact(n1 + 0.5) and t == first > n1 + 0.5
 
+    def test_grid_scan_resumes_after_a_rejected_hit(self, monkeypatch):
+        # no frequency is 1, so the grid path runs; its first float hit,
+        # t_min itself, is epsilon + 1e-10 away exactly
+        from fractions import Fraction
+        from apexp import exponents
+        from apexp.kernels import kron_scan_grid
+        v, x, eps, t_min = math.sqrt(2), 0.07076549629492597, 1e-3, 9000004.25
+        starts = []
+
+        def recording_scan(vals, targs, eps, t0, t1, step):
+            starts.append(t0)
+            if len(starts) > 10:
+                raise RuntimeError("the solver keeps rescanning")
+            return kron_scan_grid(vals, targs, eps, t0, t1, step)
+
+        def exact(t):
+            d = (Fraction(v) * Fraction(t) - Fraction(x)) % 1
+            return min(d, 1 - d) < Fraction(eps)
+
+        monkeypatch.setattr(exponents, "kron_scan_grid", recording_scan)
+        t = kronecker_solve(KroneckerQuery([v], [x], eps, search_bound=t_min + 100,
+                                           t_min=t_min))
+        step = eps / (4.0 * v)
+        assert kron_scan_grid([v], [x], eps, t_min, t_min, step) == t_min
+        assert not exact(t_min)
+        assert starts == [t_min, t_min + step]
+        assert t == 9000004.955869343 and exact(t)
+
+    @pytest.mark.parametrize("bad_t", [3.0, 2.0 ** 60])
+    def test_grid_resume_must_advance(self, monkeypatch, bad_t):
+        # a kernel that keeps returning one rejected t raises, not loops:
+        # 3.0 lies before the resumed range, and 2**60 + step == 2**60
+        from apexp import exponents
+        from apexp.groups import VerificationError
+        calls = []
+
+        def stuck_scan(*args):
+            calls.append(args)
+            if len(calls) > 3:
+                raise RuntimeError("the solver keeps rescanning")
+            return bad_t
+
+        monkeypatch.setattr(exponents, "kron_scan_grid", stuck_scan)
+        q = KroneckerQuery(frequencies=[THETA], targets=[0.5], epsilon=0.01,
+                           search_bound=1e4)
+        with pytest.raises(VerificationError, match="does not advance"):
+            kronecker_solve(q)
+
     def test_negate_time(self):
         q = KroneckerQuery(frequencies=[THETA], targets=[0.3], epsilon=0.01,
                            search_bound=1e4, t_min=1.0, negate_time=True)

@@ -13,10 +13,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 import apexp
 from apexp.groups import (DependentGeneratorsError, FinGenSubgroup,
-                          OutOfSpanError, VerificationError,
+                          OutOfSpanError, VerificationError, bonding_fault,
                           build_b_sequence, decide_equivalence)
-from apexp.intlinalg import solve_rational
+from apexp.intlinalg import rational_rank, solve_rational
 from apexp.realfield import SymbolBasis
+from apexp.solenoid import SolenoidSystem
 
 
 @pytest.fixture(scope="module")
@@ -411,3 +412,153 @@ def test_rational_scalar_is_recovered_exactly(gens, p, q):
     assert n.basis() == [b.scale(abs(a)) for b in m.basis()]
     v = decide_equivalence(n, m)
     assert v.status == "EQUIVALENT" and v.scalar == abs(a)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the integer bonding check and the canonical-form group equality
+
+
+def realvector_tower_holds(stage_bases, matrices):
+    """Reference for bonding_fault: every M_i has full rank over Q (Fraction
+    elimination) and the RealVector scale/add loop finds b^i = M_i b^{i+1}."""
+    kappa = len(stage_bases[0])
+    for i, m in enumerate(matrices):
+        if rational_rank(m) != kappa:
+            return False
+        for r in range(kappa):
+            acc = stage_bases[0][0].basis.zero()
+            for s in range(kappa):
+                acc = acc + stage_bases[i + 1][s].scale(m[r][s])
+            if acc != stage_bases[i][r]:
+                return False
+    return True
+
+
+def seeded_tower(rng):
+    """Stage bases and bonding matrices of a random tower over THREE."""
+    names = ["1", "sqrt2", "sqrt3"]
+    kappa = rng.randint(1, 3)
+    elements = [THREE.zero()] + [
+        THREE.vector({names[j]: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                      for j in range(kappa)})
+        for _ in range(rng.randint(1, 4))]
+    seq = build_b_sequence([THREE.symbol(n) for n in names[:kappa]], elements, THREE)
+    return ([list(s.basis) for s in seq.stages],
+            [[list(r) for r in m] for m in seq.matrices()])
+
+
+def corrupt(rng, bases, mats, how):
+    """A copy of the tower with one fault of the given kind."""
+    bases, mats = [list(b) for b in bases], [[list(r) for r in m] for m in mats]
+    kappa = len(bases[0])
+    if how == "entry":  # one entry of one M_i changed
+        m = rng.choice(mats)
+        r, s = rng.randrange(kappa), rng.randrange(kappa)
+        m[r][s] += rng.choice([-2, -1, 1, 2])
+    elif how == "scaled":  # one stage vector doubled
+        k, j = rng.randrange(len(bases)), rng.randrange(kappa)
+        bases[k][j] = bases[k][j].scale(2)
+    else:  # M_1 singular, with stage 1 recomputed so the identity holds
+        m = [[rng.randint(-3, 3) for _ in range(kappa)] for _ in range(kappa)]
+        m[-1] = [2 * x for x in m[0]] if kappa > 1 else [0]
+        mats[0] = m
+        bases[0] = [sum((bases[1][s].scale(row[s]) for s in range(kappa)), THREE.zero())
+                    for row in m]
+    return bases, mats
+
+
+class TestBondingCheckOracle:
+    @pytest.mark.parametrize("how", ["none", "entry", "scaled", "singular"])
+    def test_agrees_with_realvector_loop(self, how):
+        rng = random.Random(f"bonding-{how}")
+        for _ in range(40):
+            bases, mats = seeded_tower(rng)
+            if how != "none":
+                bases, mats = corrupt(rng, bases, mats, how)
+            holds = realvector_tower_holds(bases, mats)
+            fault = bonding_fault(bases, mats)
+            assert (fault is None) == holds == (how == "none"), fault
+            if how == "singular":
+                assert "singular" in fault
+            elif how == "scaled":
+                assert "identity fails" in fault
+
+    def test_both_callers_raise_the_one_fault(self):
+        rng = random.Random(61)
+        for _ in range(20):
+            bases, mats = seeded_tower(rng)
+            bad_bases, bad_mats = corrupt(rng, bases, mats, "entry")
+            fault = bonding_fault(bad_bases, bad_mats)
+            with pytest.raises(ValueError) as err:
+                SolenoidSystem(kappa=len(bases[0]), matrices=bad_mats,
+                               stage_bases=bad_bases)
+            assert str(err.value) == fault
+            seq = build_b_sequence(bases[0], [THREE.zero()] * len(bases), THREE)
+            for stage, basis, m in zip(seq.stages[1:], bad_bases[1:], bad_mats):
+                stage.basis, stage.matrix = basis, m
+            with pytest.raises(VerificationError) as err:
+                seq.verify()
+            assert str(err.value) == fault
+
+    def test_denominators_differ_between_stages(self, ctx):
+        # b^1 = 1, b^2 = 1/2, b^3 = 1/6: d_1 = 1, d_2 = 2, d_3 = 6
+        one = ctx.symbol("1")
+        bases = [[one], [one.scale(Fraction(1, 2))], [one.scale(Fraction(1, 6))]]
+        assert bonding_fault(bases, [[[2]], [[3]]]) is None
+        assert "identity fails" in bonding_fault(bases, [[[2]], [[2]]])
+        assert "singular" in bonding_fault([[one], [one]], [[[0]]])
+
+
+def two_sided(a, b):
+    """Reference for same_group: each generator set lies in the other group."""
+    return (all(a.contains(g) for g in b.generators)
+            and all(b.contains(g) for g in a.generators))
+
+
+class TestSameGroup:
+    @pytest.mark.parametrize("left, right, equal", [
+        (["1/2", "1/3"], ["1/6"], True),
+        (["1", "3/2"], ["1/2"], True),
+        (["1/2"], ["3/2"], False),      # one denominator, different lattices
+        (["1"], ["1/2"], False),        # one lattice [[1]], different denominators
+        (["2/3", "4/3"], ["2/3"], True),
+    ])
+    def test_rational_generator_sets(self, ctx, left, right, equal):
+        a = FinGenSubgroup(ctx, [ctx.vector({"1": q}) for q in left])
+        b = FinGenSubgroup(ctx, [ctx.vector({"1": q}) for q in right])
+        assert a.same_group(b) == b.same_group(a) == two_sided(a, b) == equal
+
+    def test_rejects_groups_over_different_bases(self, ctx):
+        with pytest.raises(ValueError, match="different symbol bases"):
+            FinGenSubgroup(ctx, [ctx.symbol("1")]).same_group(
+                FinGenSubgroup(THREE, [THREE.symbol("1")]))
+
+
+tiny_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+tiny_vectors = st.builds(lambda a, b: THREE.vector({"1": a, "sqrt2": b}),
+                         tiny_rationals, tiny_rationals)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(tiny_vectors, min_size=1, max_size=3),
+       st.sampled_from(["regenerated", "sublattice", "random"]), st.data())
+def test_same_group_is_two_sided_containment(gens, kind, data):
+    if kind == "regenerated":  # the same group from other generators
+        other = list(gens)
+        for _ in range(data.draw(st.integers(0, 4))):
+            index = st.integers(0, len(other) - 1)
+            i, j = data.draw(index), data.draw(index)
+            if i != j:
+                other[i] = other[i] + other[j].scale(data.draw(st.integers(-3, 3)))
+        other.append(sum((g.scale(data.draw(st.integers(-3, 3))) for g in gens),
+                         THREE.zero()))
+        other.reverse()
+    elif kind == "sublattice":  # usually index 2 or 3, same denominators
+        other = list(gens)
+        other[0] = other[0].scale(data.draw(st.integers(2, 3)))
+    else:
+        other = data.draw(st.lists(tiny_vectors, min_size=1, max_size=3))
+    a, b = FinGenSubgroup(THREE, gens), FinGenSubgroup(THREE, other)
+    assert a.same_group(b) == b.same_group(a) == two_sided(a, b)
+    if kind == "regenerated":
+        assert a.same_group(b)

@@ -9,7 +9,7 @@ from apexp.circmath import METRIC_TORUS, circle_dist
 from apexp.exponents import OrbitEvaluator
 from apexp.groups import build_b_sequence
 from apexp.realfield import SymbolBasis
-from apexp.solenoid import (InconsistentPointError, LinearFlowSpec,
+from apexp.solenoid import (InconsistentPointError,
                             NonConvergentError, SolenoidPoint, SolenoidSystem,
                             flow_step, pi_solenoid, point_add, point_neg,
                             semiconjugacy_to_solenoid, zero_point)
@@ -27,18 +27,16 @@ def dyadic():
 
 def test_pi_solenoid_values(dyadic):
     _, system = dyadic
-    spec = LinearFlowSpec(system)
-    assert pi_solenoid(spec, 0.0).dist(zero_point(system)) == 0.0
-    pt = pi_solenoid(spec, 1.0)
+    assert pi_solenoid(system, 0.0).dist(zero_point(system)) == 0.0
+    pt = pi_solenoid(system, 1.0)
     assert [float(s[0]) for s in pt.stages[:3]] == [0.0, 0.5, 0.25]
-    pt4 = pi_solenoid(spec, 4.0)
+    pt4 = pi_solenoid(system, 4.0)
     assert [float(s[0]) for s in pt4.stages[:3]] == [0.0, 0.0, 0.0]
 
 
 def test_consistency_residual_grid(dyadic):
     _, system = dyadic
-    spec = LinearFlowSpec(system)
-    worst = max(pi_solenoid(spec, t).consistency_residual(system)
+    worst = max(pi_solenoid(system, t).consistency_residual(system)
                 for t in np.linspace(-100, 100, 2000))
     assert worst <= 1e-9
 
@@ -57,14 +55,13 @@ def _residual_loop(system, stages):
 @pytest.mark.parametrize("which", ["dyadic", "kappa2"])
 def test_pi_solenoid_batch_matches_pointwise(dyadic, which):
     if which == "dyadic":
-        spec = LinearFlowSpec(dyadic[1])
+        system = dyadic[1]
     else:  # depth 3, bonding matrices that are not symmetric
-        spec = LinearFlowSpec(_bonded_system([[2, 1], [0, 3]], [[1, 0], [2, 1]]))
-    system = spec.system
+        system = _bonded_system([[2, 1], [0, 3]], [[1, 0], [2, 1]])
     ts = np.linspace(-100, 100, 501)
-    batch = pi_solenoid(spec, ts)
+    batch = pi_solenoid(system, ts)
     assert batch.stages.shape == (len(ts), system.depth, system.kappa)
-    points = [pi_solenoid(spec, float(t)) for t in ts]
+    points = [pi_solenoid(system, float(t)) for t in ts]
     assert points[0].stages.shape == (system.depth, system.kappa)
     stacked = np.stack([p.stages for p in points])
     assert np.array_equal(batch.stages.view(np.int64), stacked.view(np.int64))
@@ -82,8 +79,7 @@ def test_pi_solenoid_batch_matches_pointwise(dyadic, which):
 
 def test_corrupted_point_fails_batch_check(dyadic):
     _, system = dyadic
-    spec = LinearFlowSpec(system)
-    batch = pi_solenoid(spec, np.linspace(-10, 10, 200))
+    batch = pi_solenoid(system, np.linspace(-10, 10, 200))
     batch.stages[137, 3, 0] = (batch.stages[137, 3, 0] + 0.01) % 1.0
     # the shifted coordinate enters two bonding checks: doubled by [2]
     # against the coarser stage (0.02), as is against the finer one (0.01)
@@ -94,23 +90,21 @@ def test_corrupted_point_fails_batch_check(dyadic):
 
 def test_flow_identity_and_cocycle(dyadic):
     _, system = dyadic
-    spec = LinearFlowSpec(system)
     rng = np.random.default_rng(2)
     for _ in range(200):
         s, t = rng.uniform(-20, 20, size=2)
-        x = pi_solenoid(spec, float(rng.uniform(-5, 5)))
-        one_step = flow_step(spec, t + s, x)
-        two_step = flow_step(spec, t, flow_step(spec, s, x))
+        x = pi_solenoid(system, float(rng.uniform(-5, 5)))
+        one_step = flow_step(system, t + s, x)
+        two_step = flow_step(system, t, flow_step(system, s, x))
         assert one_step.dist(two_step) <= 1e-9
-    x = pi_solenoid(spec, 0.37)
-    assert flow_step(spec, 0.0, x).dist(x) == 0.0
+    x = pi_solenoid(system, 0.37)
+    assert flow_step(system, 0.0, x).dist(x) == 0.0
 
 
 def test_group_structure(dyadic):
     _, system = dyadic
-    spec = LinearFlowSpec(system)
     e = zero_point(system)
-    x = pi_solenoid(spec, 1.0)
+    x = pi_solenoid(system, 1.0)
     assert point_add(x, e).dist(x) == 0.0
     assert point_add(x, point_neg(x)).dist(e) == 0.0
     two_x = point_add(x, x)
@@ -120,11 +114,10 @@ def test_group_structure(dyadic):
 
 def test_inconsistent_point_rejected(dyadic):
     _, system = dyadic
-    spec = LinearFlowSpec(system)
     bad = SolenoidPoint([np.array([0.0]), np.array([0.3]), np.array([0.0]),
                          *[np.array([0.0])] * 5])
     with pytest.raises(InconsistentPointError):
-        flow_step(spec, 1.0, bad)
+        flow_step(system, 1.0, bad)
 
 
 def test_stage_identity_enforced(dyadic):
@@ -164,8 +157,7 @@ def test_dual_generators_recover_group(dyadic):
 def test_json_roundtrip(dyadic):
     _, system = dyadic
     system2 = SolenoidSystem.from_json(system.to_json())
-    spec, spec2 = LinearFlowSpec(system), LinearFlowSpec(system2)
-    assert pi_solenoid(spec, 2.7).dist(pi_solenoid(spec2, 2.7)) == 0.0
+    assert pi_solenoid(system, 2.7).dist(pi_solenoid(system2, 2.7)) == 0.0
 
 
 class TestSemiconjugacy:
