@@ -1,4 +1,5 @@
-"""Exact integer and rational linear algebra for lattice normal forms.
+"""Exact integer and rational linear algebra for lattice normal forms and
+lattice reduction.
 
 Everything here works on plain Python ints / Fractions so that group
 membership and bonding matrices are exact at any size.
@@ -8,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["hnf_rows", "hnf_coefficients", "solve_rational", "rational_rank"]
+__all__ = ["hnf_rows", "hnf_coefficients", "lll_reduce", "solve_rational",
+           "rational_rank"]
 
 
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -99,6 +101,77 @@ def hnf_coefficients(hnf: list[list[int]], target: list[int]):
                 rest[t] -= c * row[t]
         coeffs.append(c)
     return None if any(rest) else coeffs
+
+
+def lll_reduce(rows: list[list[int]]) -> list[list[int]]:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the rows.
+
+    Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): the Gram-Schmidt data is kept as the integers
+    d[i] (Gram determinant of the first i rows) and lam[k][j] = d[j+1] *
+    mu[k][j], so every division is exact and no Fraction is built.  The
+    output is size-reduced (|mu| <= 1/2) and meets the Lovasz condition
+    d[k+1] d[k-1] >= (3/4) d[k]^2 - lam[k][k-1]^2.  Raises ValueError
+    when the rows are linearly dependent.  The input is not modified.
+    """
+    b = [list(r) for r in rows]
+    n = len(b)
+    if n == 0:
+        return []
+    d = [1] + [0] * n          # d[i+1] belongs to row i; d[0] = 1
+    lam = [[0] * n for _ in range(n)]
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u == 0:
+                raise ValueError("rows are linearly dependent")
+            else:
+                d[k + 1] = u
+
+    def reduce(k, l):
+        # size-reduce row k against row l: |2 lam[k][l]| <= d[l+1]
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
+            return
+        q = (2 * lam[k][l] + dl) // (2 * dl)
+        b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+        lam[k][l] -= q * dl
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        m = lam[k][k - 1]
+        dk1, dk = d[k], d[k + 1]
+        nb = (d[k - 1] * dk + m * m) // dk1
+        for i in range(k + 1, k_max + 1):
+            t = lam[i][k]
+            lam[i][k] = (dk * lam[i][k - 1] - m * t) // dk1
+            lam[i][k - 1] = (nb * t + m * lam[i][k]) // dk
+        d[k] = nb
+
+    gram_schmidt(0)
+    k, k_max = 1, 0
+    while k < n:
+        if k > k_max:
+            k_max = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    return b
 
 
 def _eliminate(m, n_cols: int) -> list[int]:

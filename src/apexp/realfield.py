@@ -4,15 +4,21 @@ A SymbolBasis fixes an ordered list of symbols, each carrying a float
 witness used for numeric evaluation.  A RealVector is a sparse map from
 symbol index to an exact Fraction; equality of canonical forms decides
 equality of the represented reals (under the declared independence).
+
+The declaration itself is trusted.  Building a SymbolBasis only advises:
+it warns (UserWarning) when lattice reduction (LLL) of the witnesses
+exposes an integer relation with coefficients of size at most 50, of any
+number of terms, that holds to within 1e-9.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
+import math
 import warnings
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
+
+from .intlinalg import lll_reduce
 
 __all__ = [
     "SymbolBasis",
@@ -49,7 +55,7 @@ class SymbolBasis:
     """Ordered symbols (name, float witness) with an optional partial
     product table used only by the equivalence decider's scalar action."""
 
-    def __init__(self, symbols, products=None, check_independence=True):
+    def __init__(self, symbols, products=None):
         names = [n for n, _ in symbols]
         if len(set(names)) != len(names):
             raise ValueError("symbol names must be unique")
@@ -70,8 +76,7 @@ class SymbolBasis:
                 cc = {self._index[k] if isinstance(k, str) else k: parse_rational(v)
                       for k, v in coords.items()}
                 self._products[(min(i, j), max(i, j))] = cc
-        if check_independence:
-            self._check_independence()
+        self._check_independence()
 
     # -- construction helpers ------------------------------------------------
 
@@ -95,31 +100,26 @@ class SymbolBasis:
 
     # -- advisory independence check ----------------------------------------
 
-    def _check_independence(self, tol=1e-9):
-        # True independence is undecidable from float witnesses; we only
-        # warn on small integer relations.  Pairs are searched with
-        # |n| <= 50, triples with |n| <= 12 to keep this cheap.
+    def _check_independence(self):
+        # Independence is undecidable from float witnesses, so this is
+        # advice only.  LLL on the rows [e_i | round(v_i * 2^e)], where 2^e
+        # scales the largest witness to about 2^50, exposes the short
+        # integer relations among the witnesses, of any number of terms;
+        # a reduced row n with max|n_i| <= 50 and |sum n_i v_i| < 1e-9
+        # (exact, on the floats) is reported.
         vals = [v for _, v in self.symbols]
-        names = [n for n, _ in self.symbols]
-        for i, j in itertools.combinations(range(len(vals)), 2):
-            for a in range(1, 51):
-                for b in range(-50, 51):
-                    if abs(a * vals[i] + b * vals[j]) < tol and (a, b) != (0, 0):
-                        warnings.warn(
-                            f"witnesses look rationally dependent: "
-                            f"{a}*{names[i]} + {b}*{names[j]} ~ 0")
-                        return
-        for i, j, k in itertools.combinations(range(len(vals)), 3):
-            for a in range(1, 13):
-                for b in range(-12, 13):
-                    for c in range(-12, 13):
-                        if (b, c) == (0, 0):
-                            continue
-                        if abs(a * vals[i] + b * vals[j] + c * vals[k]) < tol:
-                            warnings.warn(
-                                f"witnesses look rationally dependent: "
-                                f"{a}*{names[i]} + {b}*{names[j]} + {c}*{names[k]} ~ 0")
-                            return
+        e = 50 - math.frexp(max((abs(v) for v in vals), default=1.0))[1]
+        rows = [[int(i == j) for j in range(len(vals))] + [round(math.ldexp(v, e))]
+                for i, v in enumerate(vals)]
+        for row in lll_reduce(rows):
+            n = row[:-1]
+            if (max(map(abs, n)) <= 50
+                    and abs(sum(c * Fraction(v) for c, v in zip(n, vals))) < 1e-9):
+                sign = 1 if next(c for c in n if c) > 0 else -1
+                terms = " + ".join(f"{sign * c}*{name}"
+                                   for c, (name, _) in zip(n, self.symbols) if c)
+                warnings.warn(f"witnesses look rationally dependent: {terms} ~ 0")
+                return
 
     # -- products ------------------------------------------------------------
 

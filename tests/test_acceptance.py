@@ -54,7 +54,7 @@ def test_criterion_02_mixed_tower_vs_oracle(criterion_report):
           and seq.stages[2].basis == [one.scale(Fraction(1, 6))])
 
     big = SymbolBasis([("1", 1.0), ("u", math.sqrt(2.0)),
-                       ("v", math.sqrt(3.0))], check_independence=False)
+                       ("v", math.sqrt(3.0))])
     names = ["1", "u", "v"]
     rng = random.Random(101)
     checked = 0
@@ -78,8 +78,7 @@ def test_criterion_02_mixed_tower_vs_oracle(criterion_report):
 
 
 def test_criterion_03_equivalence_decider(criterion_report):
-    ctx = SymbolBasis([("1", 1.0), ("u", math.sqrt(2.0))],
-                      check_independence=False)
+    ctx = SymbolBasis([("1", 1.0), ("u", math.sqrt(2.0))])
     rng = random.Random(103)
     false_verdicts = 0
     for _ in range(20):
@@ -116,8 +115,7 @@ def test_criterion_04_rotation_numbers(criterion_report):
     for n in (10, 100, 1000, 10000):
         est, _ = rotation_number(rotation_lift(0.25), n=n)
         ok &= abs(est - 0.25) < 1e-12
-    basis = SymbolBasis([("1", 1.0), ("theta", THETA)],
-                        check_independence=False)
+    basis = SymbolBasis([("1", 1.0), ("theta", THETA)])
     d = build_denjoy(basis.symbol("theta"), Fraction(1, 2), 40)
     errs = []
     for n in (100, 1000, 10000):
@@ -147,8 +145,7 @@ def test_criterion_05_mu_equivariance(criterion_report):
 
 
 def test_criterion_06_denjoy_semiconjugacy(criterion_report):
-    basis = SymbolBasis([("1", 1.0), ("theta", THETA)],
-                        check_independence=False)
+    basis = SymbolBasis([("1", 1.0), ("theta", THETA)])
     d = build_denjoy(basis.symbol("theta"), Fraction(1, 2), 40)
     worst = max(circle_dist(d.collapse(frac(d.lift(y))),
                             frac(d.collapse(y) + THETA))
@@ -234,8 +231,7 @@ def test_criterion_10_solenoid_flow(criterion_report):
 
     # rotation-suspension case: the straightening map into the rank-2
     # solenoid must intertwine the suspension flow with the linear flow
-    ctx = SymbolBasis([("1", 1.0), ("theta", THETA)],
-                      check_independence=False)
+    ctx = SymbolBasis([("1", 1.0), ("theta", THETA)])
     seq2 = build_b_sequence([ctx.symbol("1"), ctx.symbol("theta")],
                             [ctx.zero()], ctx)
     sys2 = SolenoidSystem.from_bsequence(seq2)
@@ -262,7 +258,7 @@ def test_criterion_10_solenoid_flow(criterion_report):
 def test_criterion_11_property_suites(criterion_report):
     ok = True
     rng = random.Random(111)
-    ctx = SymbolBasis([("1", 1.0), ("u", math.e)], check_independence=False)
+    ctx = SymbolBasis([("1", 1.0), ("u", math.e)])
 
     def rand_vec():
         return ctx.vector({"1": Fraction(rng.randint(-50, 50),

@@ -17,8 +17,7 @@ THETA = math.sqrt(2.0) / 2.0
 
 @pytest.fixture(scope="module")
 def theta_basis():
-    return SymbolBasis([("1", 1.0), ("theta", THETA)],
-                       check_independence=False)
+    return SymbolBasis([("1", 1.0), ("theta", THETA)])
 
 
 @pytest.fixture(scope="module")

@@ -77,8 +77,7 @@ def test_group_member(tmp_path, capsys):
 
 
 def test_group_equiv(tmp_path, capsys):
-    basis = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))],
-                        check_independence=False)
+    basis = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))])
     gens = [basis.symbol("1"), basis.symbol("sqrt2")]
     m = FinGenSubgroup(basis, gens)
     n = FinGenSubgroup(basis, [g.scale(Fraction(1, 3)) for g in gens])

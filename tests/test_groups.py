@@ -22,8 +22,7 @@ from apexp.solenoid import SolenoidSystem
 
 @pytest.fixture(scope="module")
 def ctx():
-    return SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))],
-                       check_independence=False)
+    return SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))])
 
 
 def brute_member(generators, x, bound):
@@ -84,7 +83,7 @@ class TestMembership:
 
 
 THREE = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0)),
-                     ("sqrt3", math.sqrt(3.0))], check_independence=False)
+                     ("sqrt3", math.sqrt(3.0))])
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 three_vectors = st.builds(
     lambda a, b, c: THREE.vector({"1": a, "sqrt2": b, "sqrt3": c}),
@@ -176,8 +175,7 @@ class TestBSequence:
         # rank <= 3 towers over three symbols; compare every stage
         # lattice against brute-force membership of its generators
         big = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0)),
-                           ("sqrt3", math.sqrt(3.0))],
-                          check_independence=False)
+                           ("sqrt3", math.sqrt(3.0))])
         rng = random.Random(23)
         names = ["1", "sqrt2", "sqrt3"]
         for _ in range(20):
@@ -283,8 +281,7 @@ class TestEquivalence:
 
     def test_candidate_with_product_table(self):
         b = SymbolBasis([("1", 1.0), ("sqrt2", math.sqrt(2.0))],
-                        products={("sqrt2", "sqrt2"): {"1": 2}},
-                        check_independence=False)
+                        products={("sqrt2", "sqrt2"): {"1": 2}})
         m = FinGenSubgroup(b, [b.symbol("sqrt2"), b.vector({"1": 2})])
         n = FinGenSubgroup(b, [b.symbol("1"), b.symbol("sqrt2")])
         v = decide_equivalence(m, n, candidate=b.symbol("sqrt2"))

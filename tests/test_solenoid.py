@@ -162,8 +162,7 @@ def test_json_roundtrip(dyadic):
 
 class TestSemiconjugacy:
     def setup_method(self):
-        self.ctx = SymbolBasis([("1", 1.0), ("theta", math.sqrt(2) / 2)],
-                               check_independence=False)
+        self.ctx = SymbolBasis([("1", 1.0), ("theta", math.sqrt(2) / 2)])
         self.seq = build_b_sequence(
             [self.ctx.symbol("1"), self.ctx.symbol("theta")],
             [self.ctx.zero()], self.ctx)
