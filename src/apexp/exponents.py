@@ -293,8 +293,9 @@ def kronecker_solve(query: KroneckerQuery):
 
     When some frequency equals 1 the scan runs over t = n + lift(target)
     for integers n (exact in that coordinate); otherwise a uniform grid
-    of resolution epsilon / (4 max |freq|) is scanned.  Every returned t
-    is rechecked exactly against the requested epsilon.  A float hit
+    of resolution epsilon / (4 max |freq|) is scanned.  Both scans stop
+    at the last point not past search_bound.  Every returned t is
+    rechecked exactly against the requested epsilon.  A float hit
     that fails the recheck is skipped and the scan goes on from the next
     integer, or on the grid path from t + step; a kernel that returns a
     point before its range, or a t that t + step does not pass, raises
@@ -317,9 +318,14 @@ def kronecker_solve(query: KroneckerQuery):
         offset = float(targs[unit[0]])
         others = np.delete(np.arange(vals.size), unit[0])
         n0 = int(np.ceil(query.t_min - offset))
+        n1 = int(np.floor(query.search_bound - offset))
+        # rounding in n + offset can carry an end point out of the range
+        while float(n0) + offset < query.t_min:
+            n0 += 1
+        while float(n1) + offset > query.search_bound:
+            n1 -= 1
         while True:
-            t = kron_scan_integer(vals[others], targs[others], eps, offset,
-                                  n0, int(query.search_bound))
+            t = kron_scan_integer(vals[others], targs[others], eps, offset, n0, n1)
             if np.isnan(t) or _exactly_within(vals, targs, eps, t):
                 break
             # rounding in v*t let a float hit through: go on from the

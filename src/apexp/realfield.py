@@ -8,7 +8,7 @@ equality of the represented reals (under the declared independence).
 The declaration itself is trusted.  Building a SymbolBasis only advises:
 it warns (UserWarning) when lattice reduction (LLL) of the witnesses
 exposes an integer relation with coefficients of size at most 50, of any
-number of terms, that holds to within 1e-9.
+number of terms, that holds to within 2^-40 of the largest witness.
 """
 
 from __future__ import annotations
@@ -105,16 +105,19 @@ class SymbolBasis:
         # advice only.  LLL on the rows [e_i | round(v_i * 2^e)], where 2^e
         # scales the largest witness to about 2^50, exposes the short
         # integer relations among the witnesses, of any number of terms;
-        # a reduced row n with max|n_i| <= 50 and |sum n_i v_i| < 1e-9
-        # (exact, on the floats) is reported.
+        # a reduced row n with max|n_i| <= 50 and |sum n_i v_i| below
+        # 2^-40 max|v_i| (exact, on the floats), about 2^10 units of that
+        # embedding, is reported.
         vals = [v for _, v in self.symbols]
-        e = 50 - math.frexp(max((abs(v) for v in vals), default=1.0))[1]
+        top = max((abs(v) for v in vals), default=1.0)
+        e = 50 - math.frexp(top)[1]
+        tol = math.ldexp(top, -40)
         rows = [[int(i == j) for j in range(len(vals))] + [round(math.ldexp(v, e))]
                 for i, v in enumerate(vals)]
         for row in lll_reduce(rows):
             n = row[:-1]
             if (max(map(abs, n)) <= 50
-                    and abs(sum(c * Fraction(v) for c, v in zip(n, vals))) < 1e-9):
+                    and abs(sum(c * Fraction(v) for c, v in zip(n, vals))) < tol):
                 sign = 1 if next(c for c in n if c) > 0 else -1
                 terms = " + ".join(f"{sign * c}*{name}"
                                    for c, (name, _) in zip(n, self.symbols) if c)

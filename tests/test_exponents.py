@@ -262,6 +262,29 @@ class TestKroneckerSolve:
                            epsilon=0.01, search_bound=2000)
         assert kronecker_solve(q) is None
 
+    def test_integer_scan_stops_at_the_bound(self):
+        # t = n + 0.75 for n = int(search_bound) = 100 is the one hit, but
+        # 100.75 lies past the bound 100.5, so there is none
+        v = math.sqrt(2)
+        q = KroneckerQuery(frequencies=[1.0, v], targets=[0.75, (v * 100.75) % 1],
+                           epsilon=1e-9, search_bound=100.5, t_min=99.0)
+        assert kronecker_solve(q) is None
+        q.targets = [0.75, (v * 99.75) % 1]
+        assert kronecker_solve(q) == 99.75
+        # search_bound - 0.75 rounds up to n = 2**51 + 7, whose t = n + 0.75
+        # rounds up past the bound; epsilon 0.6 accepts every point
+        q = KroneckerQuery(frequencies=[1.0], targets=[0.75], epsilon=0.6,
+                           search_bound=2.0 ** 51 + 7.5, t_min=2.0 ** 51 + 7.5)
+        assert kronecker_solve(q) is None
+
+    def test_integer_scan_starts_at_t_min(self):
+        # t_min - 0.5 rounds down to n = 2**52, whose t = n + 0.5 rounds to
+        # 2**52 < t_min; epsilon 0.6 accepts every point, so the answer is
+        # the first point of the range
+        q = KroneckerQuery(frequencies=[1.0], targets=[0.5], epsilon=0.6,
+                           search_bound=2.0 ** 52 + 8, t_min=2.0 ** 52 + 1)
+        assert kronecker_solve(q) == 2.0 ** 52 + 2
+
     def test_post_check_rejects_a_bad_scan(self, monkeypatch):
         from apexp import exponents
         from apexp.groups import VerificationError

@@ -1,6 +1,7 @@
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from apexp.circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                             circle_dist, circular_gaps, dist, frac)
-from apexp.kernels import (FIRST_CHUNK, _chunks, almost_period_sup,
+from apexp.kernels import (BLOCK, FIRST_CHUNK, _chunks, almost_period_sup,
                            kron_scan_grid, kron_scan_integer)
 
 # ---------------------------------------------------------------------------
@@ -37,7 +38,8 @@ def _first(ts, vals, targs, eps):
 
 def oracle_scan_grid(vals, targs, eps, t0, t1, step):
     n = math.floor((t1 - t0) / step) + 1
-    return _first((t0 + i * step for i in range(n)), vals, targs, eps)
+    ts = (t0 + i * step for i in range(n))
+    return _first((t for t in ts if t <= t1), vals, targs, eps)
 
 
 def oracle_scan_integer(vals, targs, eps, offset, n0, n1):
@@ -71,7 +73,7 @@ class TestBackendAgreement:
             assert got == oracle_scan_grid(vals, targs, eps, 0.0, 5e3, eps / 8.0)
 
     def test_grid_scan_past_first_chunk(self):
-        # the first hit lies beyond the first 2**18 grid points
+        # the first hit lies beyond the first 2**18 grid points, many blocks in
         vals = [math.sqrt(2.0) / 2.0, math.sqrt(3.0)]
         targs = [0.05, 0.7]
         eps = 0.002
@@ -90,6 +92,19 @@ class TestBackendAgreement:
         assert kron_scan_grid([1.0], [0.5], 0.01, 0.0, 0.5, 0.25) == 0.5
         assert kron_scan_integer([0.5], [0.5], 0.01, 0.0, 2, 3) == 3.0
 
+    def test_grid_scan_stops_at_its_end(self):
+        # floor((t1 - t0) / step) rounds up to 567, and t0 + 567 * step
+        # lies past t1: that point is not part of the grid
+        t0, t1, step = -75.60527573992451, -30.718433247621256, 0.07916550704109922
+        last = t0 + 567 * step
+        assert math.floor((t1 - t0) / step) == 567 and last > t1
+        args = ([1.0], [last % 1.0], 1e-13, t0, t1, step)
+        assert math.isnan(kron_scan_grid(*args))
+        assert math.isnan(oracle_scan_grid(*args))
+        before = t0 + 566 * step
+        args = ([1.0], [before % 1.0], 1e-13, t0, t1, step)
+        assert kron_scan_grid(*args) == oracle_scan_grid(*args) == before
+
     def test_integer_scan(self):
         vals = [math.sqrt(2.0) / 2.0]
         targs = [0.3]
@@ -97,6 +112,13 @@ class TestBackendAgreement:
             got = kron_scan_integer(vals, targs, eps, 0.25, 1, 10 ** 6)
             assert not math.isnan(got) and got == int(got) + 0.25
             assert got == oracle_scan_integer(vals, targs, eps, 0.25, 1, 10 ** 6)
+
+    def test_integer_scan_past_2_53(self):
+        # float(2**53 + 1) + 1.0 rounds to 2**53, float(2**53 + 2) does not:
+        # each point is rounded once from its own integer
+        n0 = 2 ** 53 + 1
+        args = ([0.25], [0.5], 0.1, 0.0, n0, n0 + 1)
+        assert kron_scan_integer(*args) == oracle_scan_integer(*args) == 2.0 ** 53 + 2
 
     def test_integer_scan_negative_range(self):
         vals = [math.pi]
@@ -155,24 +177,31 @@ class TestBackendAgreement:
 
 
 # first and last point of each of the first three chunks (1024, 2048 and
-# 4096 points)
+# 4096 points) and of the first two full blocks (2**14 points each, from
+# 2**14 - 2**10 on)
+FULL = BLOCK - FIRST_CHUNK
 CHUNK_EDGES = [0, 2 ** 10 - 1, 2 ** 10, 3 * 2 ** 10 - 1, 3 * 2 ** 10,
-               7 * 2 ** 10 - 1]
+               7 * 2 ** 10 - 1, FULL, FULL + BLOCK - 1, FULL + BLOCK,
+               FULL + 2 * BLOCK - 1]
+SPAN = FULL + 3 * BLOCK  # every test range below covers the edges above
 
 
 class TestChunkSchedule:
     """The scans grow their chunk from FIRST_CHUNK points, doubling up to
-    a cap; hits at the chunk edges, short and empty ranges and a miss
-    past the cap agree bit for bit with the oracles."""
+    BLOCK points; hits at the chunk edges, hits that only a later
+    coordinate decides, short and empty ranges and a long miss agree bit
+    for bit with the oracles."""
 
     def test_chunk_sizes(self):
-        assert FIRST_CHUNK == 2 ** 10
-        n = 2 ** 21 + 2 ** 20 + 5000
-        chunks = list(_chunks(n, 2 ** 20))
-        assert [b - a for a, b in chunks] == [2 ** k for k in range(10, 21)] + [
-            2 ** 20, 5000 + 2 ** 10]
+        assert FIRST_CHUNK == 2 ** 10 and BLOCK == 2 ** 14
+        n = 3 * BLOCK + 5000
+        chunks = list(_chunks(n))
+        assert [b - a for a, b in chunks] == [2 ** k for k in range(10, 15)] + [
+            BLOCK, 5000 + 2 ** 10]
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert [b - a for a, b in _chunks(700)] == [700]
+        assert list(_chunks(0)) == []
 
     # v = 2**-16 makes every v * t exact, so the only hit in range is the
     # planted point at index k
@@ -181,7 +210,7 @@ class TestChunkSchedule:
     def test_integer_hit_at_chunk_edge(self, k):
         n0, offset, v = -3000, 0.25, 2.0 ** -16
         targ = (v * (n0 + k + offset)) % 1.0
-        args = ([v], [targ], 2.0 ** -17, offset, n0, n0 + 8 * 2 ** 10)
+        args = ([v], [targ], 2.0 ** -17, offset, n0, n0 + SPAN)
         got = kron_scan_integer(*args)
         assert got == n0 + k + offset
         assert got == oracle_scan_integer(*args)
@@ -190,10 +219,45 @@ class TestChunkSchedule:
     def test_grid_hit_at_chunk_edge(self, k):
         t0, step, v = -37.5, 0.5, 2.0 ** -16
         targ = (v * (t0 + k * step)) % 1.0
-        args = ([v], [targ], 2.0 ** -18, t0, t0 + 8 * 2 ** 10 * step, step)
+        args = ([v], [targ], 2.0 ** -18, t0, t0 + SPAN * step, step)
         got = kron_scan_grid(*args)
         assert got == t0 + k * step
         assert got == oracle_scan_grid(*args)
+
+    # three coordinates at exactly representable points: the first passes
+    # every other point, the second every 2**12-th point, and only the
+    # third singles out the planted point k, so most blocks carry
+    # survivors of the first two coordinates that the third rejects
+
+    @pytest.mark.parametrize("k", CHUNK_EDGES[-4:] + [SPAN - 1])
+    def test_integer_hit_decided_by_a_later_coordinate(self, k):
+        n0, offset = -3000, 0.25
+        vals = [0.5, 2.0 ** -12, 2.0 ** -16]
+        targs = [(v * (n0 + k + offset)) % 1.0 for v in vals]
+        args = (vals, targs, 2.0 ** -17, offset, n0, n0 + SPAN)
+        got = kron_scan_integer(*args)
+        assert got == n0 + k + offset
+        assert got == oracle_scan_integer(*args)
+        # the first two coordinates alone pass an earlier point
+        assert kron_scan_integer(vals[:2], targs[:2], *args[2:]) < got
+
+    @pytest.mark.parametrize("k", CHUNK_EDGES[-4:] + [SPAN - 1])
+    def test_grid_hit_decided_by_a_later_coordinate(self, k):
+        t0, step = -37.5, 0.5
+        vals = [1.0, 2.0 ** -11, 2.0 ** -16]
+        targs = [(v * (t0 + k * step)) % 1.0 for v in vals]
+        args = (vals, targs, 2.0 ** -18, t0, t0 + SPAN * step, step)
+        got = kron_scan_grid(*args)
+        assert got == t0 + k * step
+        assert got == oracle_scan_grid(*args)
+        assert kron_scan_grid(vals[:2], targs[:2], *args[2:]) < got
+
+    def test_no_free_frequency(self):
+        # with no coordinate to test, the first point of the range is the hit
+        assert kron_scan_integer([], [], 2.0 ** -17, 0.25, 5, 9) == 5.25
+        assert oracle_scan_integer([], [], 2.0 ** -17, 0.25, 5, 9) == 5.25
+        assert kron_scan_grid([], [], 2.0 ** -17, -2.0, 3.0, 0.5) == -2.0
+        assert oracle_scan_grid([], [], 2.0 ** -17, -2.0, 3.0, 0.5) == -2.0
 
     def test_range_shorter_than_first_chunk(self):
         v = 2.0 ** -16
@@ -210,15 +274,73 @@ class TestChunkSchedule:
         assert math.isnan(oracle_scan_integer([], [], 0.5, 0.0, 5, 4))
         assert math.isnan(kron_scan_grid([1.0], [0.0], 0.5, 5.0, 4.0, 0.25))
         assert math.isnan(oracle_scan_grid([1.0], [0.0], 0.5, 5.0, 4.0, 0.25))
+        assert math.isnan(kron_scan_grid([], [], 0.5, 5.0, 4.0, 0.25))
 
     def test_miss_past_the_cap(self):
         # frac(1.0 * t) stays 0 on integer times, never near the target 0.5
-        n1 = 2 ** 21 + 5000  # past the 2**20-point cap of the integer scan
+        n1 = 2 ** 21 + 5000  # over a hundred blocks of the BLOCK-point cap
         assert math.isnan(kron_scan_integer([1.0], [0.5], 0.25, 0.0, 0, n1))
         assert math.isnan(oracle_scan_integer([1.0], [0.5], 0.25, 0.0, 0, n1))
-        t1 = 2.0 ** 19 + 1000  # past the 2**18-point cap of the grid scan
+        t1 = 2.0 ** 19 + 1000
         assert math.isnan(kron_scan_grid([1.0], [0.5], 0.25, 0.0, t1, 1.0))
         assert math.isnan(oracle_scan_grid([1.0], [0.5], 0.25, 0.0, t1, 1.0))
+
+    @pytest.mark.parametrize("path", ["integer", "grid"])
+    def test_long_miss_stays_small(self, path):
+        # a 3e6-point miss keeps its scratch arrays to one block: the
+        # traced peak stays far below one array of the whole range (24 MB)
+        vals, targs, eps = [math.sqrt(2.0), math.sqrt(3.0)], [0.1, 0.2], 1e-9
+        tracemalloc.start()
+        try:
+            if path == "integer":
+                got = kron_scan_integer(vals, targs, eps, 0.5, 0, 3 * 10 ** 6)
+            else:
+                got = kron_scan_grid(vals, targs, eps, 0.0, 3e3, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isnan(got)
+        assert peak < 2 * 2 ** 20, peak
+
+
+@st.composite
+def scan_queries(draw):
+    """A scan over a range of two to four blocks, possibly negative, with
+    0-3 coordinates whose targets are often planted on one of its points,
+    so that hits fall in any block and later coordinates decide them."""
+    d = draw(st.integers(0, 3))
+    roots = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 14, 15])
+    vals = [math.sqrt(draw(roots)) * draw(st.sampled_from([-1, 1]))
+            / draw(st.integers(1, 4)) for _ in range(d)]
+    # a point passes by chance with probability (2*eps)**d: one every
+    # `spacing` points on average
+    spacing = draw(st.sampled_from([BLOCK // 8, BLOCK, 8 * BLOCK]))
+    eps = 0.5 * spacing ** (-1.0 / max(d, 1))
+    n = draw(st.integers(2 * BLOCK, 4 * BLOCK))
+    i = draw(st.integers(0, n - 1))
+    integer = draw(st.booleans())
+    if integer:
+        offset, n0 = draw(st.floats(0.0, 1.0)), draw(st.integers(-10 ** 6, 10 ** 6))
+        args, point = (offset, n0, n0 + n - 1), (n0 + i) + offset
+    else:
+        t0, step = draw(st.floats(-1e4, 1e4)), draw(st.floats(1e-4, 0.1))
+        args, point = (t0, t0 + (n - 1) * step, step), t0 + i * step
+    if draw(st.booleans()):
+        targs = [(v * point) % 1.0 for v in vals]
+    else:
+        targs = [draw(st.floats(0.0, 1.0)) for _ in vals]
+    return integer, vals, targs, eps, args
+
+
+@settings(max_examples=50, deadline=None)
+@given(scan_queries())
+def test_scans_match_oracles_across_blocks(query):
+    integer, vals, targs, eps, args = query
+    scan, oracle = ((kron_scan_integer, oracle_scan_integer) if integer
+                    else (kron_scan_grid, oracle_scan_grid))
+    got = scan(vals, targs, eps, *args)
+    ref = oracle(vals, targs, eps, *args)
+    assert same(got, ref), (vals, targs, eps, args)
 
 
 @pytest.mark.parametrize("kind,d", [(METRIC_EUCLIDEAN, 1), (METRIC_EUCLIDEAN, 3),

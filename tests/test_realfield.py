@@ -125,10 +125,16 @@ RELATION_WARNING = "witnesses look rationally dependent: "
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 
 
-def brute_force_relation(vals, tol=1e-9):
+def relation_tol(vals):
+    """The bound a relation must meet: 2^-40 of the largest witness."""
+    return math.ldexp(max(map(abs, vals)), -40)
+
+
+def brute_force_relation(vals):
     """The relation search SymbolBasis ran before LLL: pairs with |n| <= 50,
-    then triples with |n| <= 12.  The first relation found, as a dense
-    coefficient list, or None."""
+    then triples with |n| <= 12, under the same bound as the LLL check.
+    The first relation found, as a dense coefficient list, or None."""
+    tol = relation_tol(vals)
     for i, j in itertools.combinations(range(len(vals)), 2):
         for a in range(1, 51):
             for b in range(-50, 51):
@@ -163,7 +169,7 @@ def reported_relation(symbols):
 
 def assert_within_bounds(rel, vals):
     assert any(rel) and max(map(abs, rel)) <= 50
-    assert abs(sum(n * Fraction(v) for n, v in zip(rel, vals))) < 1e-9
+    assert abs(sum(n * Fraction(v) for n, v in zip(rel, vals))) < relation_tol(vals)
 
 
 @st.composite
@@ -229,6 +235,31 @@ def test_relation_check_silent_on_all_root_bases():
         for primes in itertools.combinations(PRIMES, size):
             symbols = [("1", 1.0)] + [(f"sqrt{p}", math.sqrt(p)) for p in primes]
             assert reported_relation(symbols) is None, primes
+
+
+@pytest.mark.parametrize("primes,rel", [
+    ((7, 11, 17, 19), [-1, 34, -20, 22, -26]),
+    ((7, 13, 17, 19), [21, -41, 29, 17, -20]),
+])
+def test_relation_check_silent_on_chance_near_relations(primes, rel):
+    # a 5-term relation with coefficients <= 50 that holds to within 1e-9
+    # by chance, but not to within 2^-40 of the largest witness
+    vals = [1.0] + [math.sqrt(p) for p in primes]
+    resid = abs(sum(n * Fraction(v) for n, v in zip(rel, vals)))
+    assert relation_tol(vals) < resid < 1e-9
+    symbols = [("1", 1.0)] + [(f"sqrt{p}", math.sqrt(p)) for p in primes]
+    assert reported_relation(symbols) is None
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -20, 1.0, 2.0 ** 20])
+def test_relation_bound_is_relative(scale):
+    # scaling every witness by a power of two scales each residual exactly,
+    # so the verdict must not change: a - 2b is 2e-13 * scale (below the
+    # bound) in the first basis and 6e-10 * scale (above it) in the second
+    near = [("a", scale), ("b", scale * (0.5 + 1e-13))]
+    assert reported_relation(near) == [1, -2]
+    far = [("a", scale), ("b", scale * (0.5 + 3e-10))]
+    assert reported_relation(far) is None
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
