@@ -119,6 +119,9 @@ class TestBackendAgreement:
         n0 = 2 ** 53 + 1
         args = ([0.25], [0.5], 0.1, 0.0, n0, n0 + 1)
         assert kron_scan_integer(*args) == oracle_scan_integer(*args) == 2.0 ** 53 + 2
+        # and below -2**53: float(-(2**53 + 3)) + 1.0 rounds to -(2**53 + 4)
+        args = ([0.25], [0.5], 0.1, 0.0, -(n0 + 2), -(n0 + 1))
+        assert kron_scan_integer(*args) == oracle_scan_integer(*args) == -(2.0 ** 53 + 2)
 
     def test_integer_scan_negative_range(self):
         vals = [math.pi]
