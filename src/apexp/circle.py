@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ast
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,9 +72,6 @@ class CircleLift:
         shifted = np.array([self.f(float(x) + 1.0) for x in xs])
         if np.max(np.abs(shifted - ys - 1.0)) > tol:
             raise ValueError("lift is not degree-one equivariant on samples")
-
-    def circle_map(self, x: float) -> float:
-        return frac(self.f(x))
 
     def inverse(self, y: float) -> float:
         """x with F(x) = y; bisection on the monotone lift if no closed
@@ -193,30 +189,34 @@ class DenjoyMap:
     trunc: int                      # orbit indices |n| <= trunc are blown up
     tail_bound: float
     lift: CircleLift = field(repr=False)
-    # sorted insertion data
-    _pos: np.ndarray = field(repr=False)    # orbit points frac(n*theta), sorted
-    _len: np.ndarray = field(repr=False)    # inserted lengths, same order
-    _cum: np.ndarray = field(repr=False)    # prefix sums of _len (len K+1)
-    _start: np.ndarray = field(repr=False)  # left endpoints of inserted intervals
-    _nidx: np.ndarray = field(repr=False)   # orbit index n per sorted slot
-    _total: float = field(repr=False)       # 1 + sum of inserted lengths
+    pos: np.ndarray = field(repr=False)    # orbit points frac(n*theta), sorted
+    nidx: np.ndarray = field(repr=False)   # orbit index n per sorted slot
+    lens: np.ndarray = field(repr=False)   # inserted lengths, same order
+    _cum: np.ndarray = field(init=False, repr=False)    # prefix sums of lens
+    _total: float = field(init=False, repr=False)       # 1 + sum of lens
+    _start: np.ndarray = field(init=False, repr=False)  # left interval ends
 
-    def embed(self, x: float) -> float:
-        """Position on the enlarged circle of base point x (the left
-        endpoint when x is a blown-up orbit point)."""
+    def __post_init__(self):
+        self._cum = np.concatenate([[0.0], np.cumsum(self.lens)])
+        self._total = 1.0 + self._cum[-1]
+        self._start = self.embed(self.pos)
+
+    def embed(self, x):
+        """Position on the enlarged circle of base point x, or of each
+        point of an array (the left endpoint when x is a blown-up orbit
+        point)."""
         x = frac(x)
-        k = int(np.searchsorted(self._pos, x, side="left"))
-        return (x + self._cum[k]) / self._total
+        return (x + self._cum[self.pos.searchsorted(x)]) / self._total
 
     def locate(self, y: float):
         """(base point, orbit index or None, interior coordinate)."""
         y = frac(y)
-        k = bisect_right(self._start.tolist(), y) - 1
+        k = self._start.searchsorted(y, side="right") - 1
         if k >= 0:
-            end = self._start[k] + self._len[k] / self._total
+            end = self._start[k] + self.lens[k] / self._total
             if y < end:
-                s = (y - self._start[k]) * self._total / self._len[k]
-                return float(self._pos[k]), int(self._nidx[k]), float(s)
+                s = (y - self._start[k]) * self._total / self.lens[k]
+                return float(self.pos[k]), int(self.nidx[k]), float(s)
         x = y * self._total - self._cum[k + 1]
         return float(frac(x)), None, 0.0
 
@@ -226,9 +226,9 @@ class DenjoyMap:
 
     def interval(self, n: int):
         """Endpoints [a, b] of the inserted interval for orbit index n."""
-        k = int(np.nonzero(self._nidx == n)[0][0])
+        k = int(np.nonzero(self.nidx == n)[0][0])
         a = float(self._start[k])
-        return a, a + float(self._len[k] / self._total)
+        return a, a + float(self.lens[k] / self._total)
 
 
 def build_denjoy(theta: RealVector, lam=Fraction(1, 2), trunc: int = 40,
@@ -252,52 +252,39 @@ def build_denjoy(theta: RealVector, lam=Fraction(1, 2), trunc: int = 40,
 
     ns = np.arange(-trunc, trunc + 1)
     pos = frac(ns * th)
-    lens = c * lam ** np.abs(ns)
     order = np.argsort(pos)
-    pos, lens, nidx = pos[order], lens[order], ns[order]
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    total = 1.0 + cum[-1]
-    start = (pos + cum[:-1]) / total
-
     d = DenjoyMap(theta=theta, theta_val=th, lam=lam, trunc=trunc,
-                  tail_bound=tail, lift=None, _pos=pos, _len=lens, _cum=cum,
-                  _start=start, _nidx=nidx, _total=total)
+                  tail_bound=tail, lift=None, pos=pos[order], nidx=ns[order],
+                  lens=c * lam ** np.abs(ns[order]))
 
-    k_of_n = {int(n): k for k, n in enumerate(nidx)}
+    k_of_n = {int(n): k for k, n in enumerate(d.nidx)}
     ghost = c * lam ** (trunc + 1)  # virtual width beyond the truncation
 
-    def f0(y: float) -> float:
+    def shift(y: float, m: int) -> float:
+        """The circle map (m = 1) or its inverse (m = -1) on the enlarged
+        circle."""
         x, n, s = d.locate(y)
         if n is not None:
-            if n + 1 in k_of_n:
-                k1 = k_of_n[n + 1]
-                return float(start[k1]) + s * float(lens[k1]) / total
-            return d.embed(frac((n + 1) * th)) + s * ghost / total
-        return d.embed(frac(x + th))
+            k1 = k_of_n.get(n + m)
+            if k1 is not None:
+                return float(d._start[k1]) + s * float(d.lens[k1]) / d._total
+            return d.embed(frac((n + m) * th)) + s * ghost / d._total
+        return d.embed(frac(x + m * th))
 
-    def f0_inv(y: float) -> float:
-        x, n, s = d.locate(y)
-        if n is not None:
-            if n - 1 in k_of_n:
-                k1 = k_of_n[n - 1]
-                return float(start[k1]) + s * float(lens[k1]) / total
-            return d.embed(frac((n - 1) * th)) + s * ghost / total
-        return d.embed(frac(x - th))
-
-    y0 = f0(0.0)
+    y0 = shift(0.0, 1)
 
     def lift_f(x: float) -> float:
         k = math.floor(x)
-        v = f0(x - k)
+        v = shift(x - k, 1)
         if v < y0:
             v += 1.0
         return v + k
 
     def lift_inv(y: float) -> float:
-        # lift_f maps [k, k+1) onto [y0 + k, y0 + k + 1), and f0_inv
+        # lift_f maps [k, k+1) onto [y0 + k, y0 + k + 1), and shift(., -1)
         # inverts the underlying circle map
         k = math.floor(y - y0)
-        return f0_inv((y - k) % 1.0) + k
+        return shift((y - k) % 1.0, -1) + k
 
     d.lift = CircleLift(lift_f, inverse=lift_inv)
     return d

@@ -56,6 +56,19 @@ def _freq_value(x) -> float:
     return x.eval() if isinstance(x, RealVector) else float(x)
 
 
+def trace_limit(val: float, times: np.ndarray, tol_limit: float, tail: int,
+                what: str) -> float:
+    """The numeric limit of frac(val * t_i): the circular mean over the
+    last `tail` times.  Raises NonConvergentError, naming `what`, when
+    their circular spread exceeds tol_limit."""
+    trace = frac(val * times[-tail:])
+    spread = circular_spread(trace)
+    if spread > tol_limit:
+        raise NonConvergentError(
+            f"{what}: tail spread {spread:.3g} exceeds {tol_limit:.3g}")
+    return circular_mean(trace)
+
+
 @dataclass
 class OrbitEvaluator:
     """An orbit, as a map from an (n,) array of times to the (n, d) array
@@ -432,12 +445,5 @@ def induced_circle_map(orbit: OrbitEvaluator, alpha,
     frac(alpha * t_i); two presentations of one point must agree within
     2 * tol_limit (checked by the caller against each other)."""
     val = _freq_value(alpha)
-    out = []
-    for seq in presentations:
-        trace = frac(val * seq.times)[-tail:]
-        spread = circular_spread(trace)
-        if spread > tol_limit:
-            raise NonConvergentError(
-                f"trace spread {spread:.3g} exceeds {tol_limit:.3g}")
-        out.append(circular_mean(trace))
-    return out
+    return [trace_limit(val, seq.times, tol_limit, tail, "trace")
+            for seq in presentations]

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import SuspensionPoint, build_denjoy, rotation_number
+from .circle import build_denjoy, rotation_number
 from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                        circle_dist, circular_gaps, dist, frac)
 from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
@@ -284,15 +284,10 @@ def denjoy_suspension_orbit(d, w_star: float):
     pulled through the embedding, so the fiber at time t is
     embed(frac(w_star + floor(t) * theta)) in closed form.
     """
-    pos, cum, total = d._pos, d._cum, d._total
-    th = d.theta_val
 
     def batch(ts):
         ks = np.floor(ts)
-        ws = frac(w_star + ks * th)
-        idx = np.searchsorted(pos, ws, side="left")
-        x = (ws + cum[idx]) / total
-        return np.stack([ts - ks, x], axis=1)
+        return np.stack([ts - ks, d.embed(w_star + ks * d.theta_val)], axis=1)
 
     return OrbitEvaluator(batch, METRIC_TORUS)
 
@@ -325,7 +320,7 @@ def _denjoy_suspension(params: dict):
                      trunc=int(params["trunc"]))
     # base the orbit at a Cantor point far from every blown-up orbit
     # point, so small rotation errors translate to small fiber distances
-    w_star, half_gap = _widest_gap_midpoint(d._pos)
+    w_star, half_gap = _widest_gap_midpoint(d.pos)
     orbit = denjoy_suspension_orbit(d, w_star)
     seqs = _integer_returns(orbit, orbit.eval(0.0), int(params["n_max"]),
                             float(params["tol_return"]))

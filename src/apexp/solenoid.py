@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circmath import METRIC_TORUS, circular_mean, circular_spread, dist, frac
-from .exponents import TOL_LIMIT, TOL_ORBIT, NonConvergentError
+from .circmath import METRIC_TORUS, dist, frac
+from .exponents import TOL_LIMIT, TOL_ORBIT, NonConvergentError, trace_limit
 from .groups import BSequence, FinGenSubgroup, bonding_fault
 from .realfield import RealVector
 
@@ -26,7 +26,6 @@ __all__ = [
     "pi_solenoid",
     "flow_step",
     "point_add",
-    "point_neg",
     "semiconjugacy_to_solenoid",
 ]
 
@@ -109,10 +108,6 @@ class SolenoidPoint:
         return float(dist(self.stages, other.stages, METRIC_TORUS).max())
 
 
-def zero_point(system: SolenoidSystem) -> SolenoidPoint:
-    return SolenoidPoint(np.zeros((system.depth, system.kappa)))
-
-
 def pi_solenoid(system: SolenoidSystem, t) -> SolenoidPoint:
     """The one-parameter subgroup point: stage i coord j = frac(t * b_j^i).
 
@@ -136,10 +131,6 @@ def point_add(x: SolenoidPoint, y: SolenoidPoint) -> SolenoidPoint:
     return SolenoidPoint(frac(x.stages + y.stages))
 
 
-def point_neg(x: SolenoidPoint) -> SolenoidPoint:
-    return SolenoidPoint(frac(-x.stages))
-
-
 def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
                               tol_orbit=TOL_ORBIT, tol_limit=TOL_LIMIT,
                               tail: int = 8) -> SolenoidPoint:
@@ -157,15 +148,7 @@ def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
         if spread > tol_orbit:
             raise NonConvergentError(
                 f"times are not an f-sequence: orbit tail spread {spread:.3g}")
-    stages = []
-    for i, basis in enumerate(seq.stages):
-        coords = []
-        for j, v in enumerate(basis.basis):
-            trace = frac(v.eval() * times)[-tail:]
-            spread = circular_spread(trace)
-            if spread > tol_limit:
-                raise NonConvergentError(
-                    f"stage {i} coord {j}: tail spread {spread:.3g}")
-            coords.append(circular_mean(trace))
-        stages.append(np.array(coords))
-    return SolenoidPoint(stages)
+    return SolenoidPoint([[trace_limit(v.eval(), times, tol_limit, tail,
+                                       f"stage {i} coord {j}")
+                           for j, v in enumerate(basis.basis)]
+                          for i, basis in enumerate(seq.stages)])

@@ -134,6 +134,34 @@ class TestDenjoy:
         for y in (0.05, 0.33, 0.71, 1.42, -0.3):
             assert abs(denjoy.lift(denjoy.lift.inverse(y)) - y) < 1e-9
 
+    def test_array_embed_matches_scalar(self, denjoy):
+        rng = np.random.default_rng(3)
+        below_one = np.nextafter(1.0, 0.0)
+        xs = np.concatenate([denjoy.pos, [0.0, below_one, below_one - 1e-15,
+                                          -1e-20, 1.0, 2.5],
+                             rng.uniform(-3.0, 3.0, 200)])
+        ys = denjoy.embed(xs)
+        assert ys.tobytes() == np.array([denjoy.embed(float(x))
+                                         for x in xs]).tobytes()
+
+    def test_rotation_number_pinned(self, denjoy):
+        # values of the lift before its two mirror closures became one
+        assert rotation_number(denjoy.lift, n=10000)[0] == 0.7071201875963798
+        assert (rotation_number(denjoy.lift, x0=0.3, n=20000)[0]
+                == 0.7071076916974413)
+
+    def test_lift_pinned_at_truncation_ends(self, denjoy):
+        # interval n = 40 has no n + 1 and n = -40 no n - 1, so lift and
+        # inverse there land in a ghost interval of the truncated width
+        pins = {40: (0.9956890143242625, -0.3728350521505637),
+                -40: (1.5395017188172808, 0.1709776523425305)}
+        for n, (fwd, inv) in pins.items():
+            a, b = denjoy.interval(n)
+            mid = (a + b) / 2
+            assert denjoy.locate(mid)[1] == n
+            assert denjoy.lift(mid) == fwd
+            assert denjoy.lift.inverse(mid) == inv
+
     def test_wandering_orbit_never_returns(self, denjoy):
         # interior points of the inserted intervals are wandering: the
         # forward orbit of the middle of interval 0 stays away from it

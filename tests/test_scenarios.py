@@ -1,11 +1,14 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from apexp.scenarios import (SCENARIOS, example1_map, run_scenario,
-                             spiral_orbit)
+from apexp.circle import build_denjoy
+from apexp.realfield import SymbolBasis
+from apexp.scenarios import (SCENARIOS, denjoy_suspension_orbit, example1_map,
+                             run_scenario, spiral_orbit)
 
 
 def test_registry_names():
@@ -113,3 +116,20 @@ class TestOrbitHelpers:
         batch = orbit.batch(ts)
         single = np.array([orbit.eval(float(t)) for t in ts])
         np.testing.assert_allclose(batch, single, atol=1e-14)
+
+    def test_denjoy_batch_matches_table_formula(self):
+        basis = SymbolBasis([("1", 1.0), ("theta", math.sqrt(2.0) / 2.0)])
+        d = build_denjoy(basis.symbol("theta"), Fraction(1, 2), 40)
+        # the closed form on the breakpoint tables, written out
+        cum = np.concatenate([[0.0], np.cumsum(d.lens)])
+        total = 1.0 + cum[-1]
+        ts = np.concatenate([np.linspace(-1000.0, 1e6, 20001),
+                             np.arange(-50.0, 51.0)])
+        # w_star = 0 puts integer times on the blown-up orbit points
+        for w_star in (0.0, 0.123456):
+            ks = np.floor(ts)
+            ws = (w_star + ks * d.theta_val) % 1.0
+            idx = np.searchsorted(d.pos, ws, side="left")
+            want = np.stack([ts - ks, (ws + cum[idx]) / total], axis=1)
+            got = denjoy_suspension_orbit(d, w_star).batch(ts)
+            assert got.tobytes() == want.tobytes()
