@@ -268,8 +268,8 @@ def build_denjoy(theta: RealVector, lam=Fraction(1, 2), trunc: int = 40,
             k1 = k_of_n.get(n + m)
             if k1 is not None:
                 return float(d._start[k1]) + s * float(d.lens[k1]) / d._total
-            return d.embed(frac((n + m) * th)) + s * ghost / d._total
-        return d.embed(frac(x + m * th))
+            return d.embed((n + m) * th) + s * ghost / d._total
+        return d.embed(x + m * th)
 
     y0 = shift(0.0, 1)
 

@@ -29,10 +29,17 @@ def frac(x):
     """Fractional part mapped into [0, 1), correct for negative inputs.
 
     Arrays reduce as x - floor(x): the same bits as numpy's x % 1.0 at
-    about a twentieth of its cost.  Scalars keep x % 1.0, because
-    x - math.floor(x) leaves -0.0 negative.
+    about a twentieth of its cost.  Scalars (and 0-d arrays) keep
+    x % 1.0, because x - math.floor(x) leaves -0.0 negative.  Either way
+    a negative x closer to 0 than half an ulp of 1.0 rounds up to 1.0,
+    which is the point 0.0.
     """
-    return x - np.floor(x) if isinstance(x, np.ndarray) else x % 1.0
+    if isinstance(x, np.ndarray) and x.ndim:
+        r = x - np.floor(x)
+        r[r == 1.0] = 0.0
+        return r
+    r = x % 1.0
+    return 0.0 if r == 1.0 else r
 
 
 def circle_dist(a, b):

@@ -213,19 +213,23 @@ def probe_exponent(orbit: OrbitEvaluator, candidate,
     """Three-valued membership evidence for a candidate exponent.
 
     ACCEPTED: frac(candidate * t_i) has tail spread <= tol_limit on
-    every supplied sequence.  REJECTED: some sequence (typically a
-    breaker) passes the orbit Cauchy check while its trace clusters at
-    two values >= GAP_MIN apart.  INCONCLUSIVE otherwise.
+    every supplied sequence, and every sequence has at least `tail`
+    times (a shorter tail is no evidence of a limit).  REJECTED: some
+    sequence (typically a breaker) passes the orbit Cauchy check while
+    its trace clusters at two values >= GAP_MIN apart.  INCONCLUSIVE
+    otherwise.
     """
     if not sequences and not breakers:
         raise ValueError("at least one sequence is required")
     val = _freq_value(candidate)
     worst_spread = 0.0
     inconclusive = False
-    for seq in list(sequences) + list(breakers):
+    seqs = list(sequences) + list(breakers)
+    shortest = min(seq.times.size for seq in seqs)
+    for seq in seqs:
         trace = frac(val * seq.times)[-2 * tail:]
         spread = circular_spread(trace[-tail:])
-        if spread <= tol_limit:
+        if spread <= tol_limit and seq.times.size >= tail:
             worst_spread = max(worst_spread, spread)
             continue
         split = _two_clusters(trace)
@@ -243,9 +247,12 @@ def probe_exponent(orbit: OrbitEvaluator, candidate,
                         notes="trace oscillates on a verified f-sequence")
         inconclusive = True
     if inconclusive:
-        return ExponentProbeReport(candidate, "INCONCLUSIVE",
-                                   notes="trace neither settles nor splits "
-                                         "into two verified clusters")
+        if shortest < tail:
+            notes = (f"a sequence has {shortest} times, fewer than "
+                     f"tail = {tail}")
+        else:
+            notes = "trace neither settles nor splits into two verified clusters"
+        return ExponentProbeReport(candidate, "INCONCLUSIVE", notes=notes)
     return ExponentProbeReport(candidate, "ACCEPTED",
                                max_tail_spread=worst_spread)
 
@@ -443,7 +450,16 @@ def induced_circle_map(orbit: OrbitEvaluator, alpha,
                        tail: int = 10) -> list[float]:
     """For each presentation {t_i} of a point, the numeric limit of
     frac(alpha * t_i); two presentations of one point must agree within
-    2 * tol_limit (checked by the caller against each other)."""
+    2 * tol_limit (checked by the caller against each other).
+
+    Raises NonConvergentError when a presentation's last `tail` orbit
+    points spread more than TOL_ORBIT, so it is no f-sequence of `orbit`.
+    """
     val = _freq_value(alpha)
+    for seq in presentations:
+        spread = orbit.spread(seq.times[-tail:])
+        if spread > TOL_ORBIT:
+            raise NonConvergentError(
+                f"times are not an f-sequence: orbit tail spread {spread:.3g}")
     return [trace_limit(val, seq.times, tol_limit, tail, "trace")
             for seq in presentations]

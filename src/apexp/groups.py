@@ -1,20 +1,35 @@
 """Exact algebra of finitely generated subgroups of (R, +).
 
-Membership and bases are decided by clearing denominators to a common
-integer lattice and taking its unique Hermite normal form.  The staged
-construction adjoins group elements one at a time and records the
-integer change-of-basis matrix between consecutive stage bases; a tower
-of stage bases and bonding matrices is checked on the same integer rows.
+Everything runs on cleared integer rows: a set of vectors is cleared
+once, from its sparse coordinates, to (d, rows) with d the lcm of all
+coordinate denominators, and a group is kept as the canonical pair
+(d, H), H the unique Hermite normal form of the rows.  Membership tests
+an element's coordinates against d as integers and back-substitutes in
+H, so no Fraction is built on that path.
+
+The staged construction adjoins group elements one at a time.  Whether
+B is Q-independent and whether every element lies in span_Q(B) are HNF
+ranks of one cleared matrix (Z-rank equals Q-rank).  Each stage is
+kept as (d_i, H_i): adjoining h rescales the stage basis rows to the
+new common denominator, inserts h's row and takes the HNF, and the
+bonding matrix is read off by back-substitution.  Fractions appear only
+in the stored stage bases.
+
+BSequence.verify certifies a tower from its stored data alone: stage 1
+is B, every b^i = M_i b^{i+1} holds with M_i nonsingular
+(bonding_fault), and the stage-(i+1) basis spans exactly
+<b^i, h_{i+1}>_Z, compared as canonical pairs.  build_b_sequence ends
+with it, and SolenoidSystem.from_bsequence relies on it instead of
+checking the tower a second time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .intlinalg import (hnf_coefficients, hnf_rows, rational_rank,
-                        solve_rational)
+from .intlinalg import hnf_coefficients, hnf_rows
 from .realfield import (RealVector, SymbolBasis, format_rational,
                         parse_rational)
 
@@ -55,9 +70,29 @@ def _require(ok: bool, what: str) -> None:
 def _clear_denominators(vectors: list[RealVector]) -> tuple[int, list[list[int]]]:
     """(d, rows): d is the lcm of the denominators of all coordinates of
     the vectors, and rows[k] the integer coordinates of d * vectors[k]."""
-    dense = [v.dense() for v in vectors]
-    d = lcm(1, *(q.denominator for row in dense for q in row))
-    return d, [[q.numerator * (d // q.denominator) for q in row] for row in dense]
+    d = lcm(1, *(q.denominator for v in vectors for q in v.coords.values()))
+    rows = []
+    for v in vectors:
+        row = [0] * len(v.basis.symbols)
+        for j, q in v.coords.items():
+            row[j] = q.numerator * (d // q.denominator)
+        rows.append(row)
+    return d, rows
+
+
+def _adjoin(d: int, rows: list[list[int]], h: RealVector):
+    """(d', rows', h_row): the integer rows of rows / d and of h over
+    their common denominator d' = lcm(d, denominators of h)."""
+    d_h, (h_row,) = _clear_denominators([h])
+    d_next = lcm(d, d_h)
+    return (d_next, [[c * (d_next // d) for c in row] for row in rows],
+            [c * (d_next // d_h) for c in h_row])
+
+
+def _vectors(ctx: SymbolBasis, d: int, rows: list[list[int]]) -> list[RealVector]:
+    """The vectors rows[k] / d."""
+    return [RealVector(ctx, {j: Fraction(v, d) for j, v in enumerate(row) if v})
+            for row in rows]
 
 
 def bonding_fault(stage_bases: list[list[RealVector]],
@@ -83,8 +118,10 @@ def bonding_fault(stage_bases: list[list[RealVector]],
             return f"bonding matrix M_{i} is singular"
         (d, coarse), (d_next, fine) = cleared[i - 1], cleared[i]
         for r in range(kappa):
-            image = [sum(m[r][s] * fine[s][j] for s in range(kappa))
-                     for j in range(len(coarse[r]))]
+            image = [0] * len(coarse[r])
+            for s, c in enumerate(m[r]):
+                if c:
+                    image = [a + c * x for a, x in zip(image, fine[s])]
             if [d_next * c for c in coarse[r]] != [d * c for c in image]:
                 return f"stage {i} row {r} identity fails: b^{i} != M_{i} b^{i + 1}"
     return None
@@ -105,10 +142,7 @@ class FinGenSubgroup:
         self.generators = list(generators)
         self._denom, int_rows = _clear_denominators(self.generators)
         self._hnf = hnf_rows(int_rows)
-        self._lattice_basis = [
-            RealVector(basis_ctx,
-                       {j: Fraction(v, self._denom) for j, v in enumerate(row) if v})
-            for row in self._hnf]
+        self._lattice_basis = _vectors(basis_ctx, self._denom, self._hnf)
 
     @property
     def rank(self) -> int:
@@ -125,10 +159,13 @@ class FinGenSubgroup:
             raise ValueError("element uses a different symbol basis")
         # the lattice basis is the HNF over _denom, so x is a member
         # exactly when x * _denom is an integer point of the HNF lattice
-        target = [q * self._denom for q in x.dense()]
-        if any(q.denominator != 1 for q in target):
-            return None
-        return hnf_coefficients(self._hnf, [q.numerator for q in target])
+        d = self._denom
+        target = [0] * len(self.basis_ctx.symbols)
+        for j, q in x.coords.items():
+            if d % q.denominator:
+                return None
+            target[j] = q.numerator * (d // q.denominator)
+        return hnf_coefficients(self._hnf, target)
 
     def contains(self, x: RealVector) -> bool:
         """Exact membership: x = sum n_i g_i for integers n_i."""
@@ -169,7 +206,11 @@ class FinGenSubgroup:
 class BStage:
     basis: list[RealVector]
     matrix: list[list[int]] | None  # None for stage 1
-    lattice: FinGenSubgroup = field(repr=False)
+
+    @property
+    def lattice(self) -> FinGenSubgroup:
+        """The stage lattice <basis>_Z."""
+        return FinGenSubgroup(self.basis[0].basis, self.basis)
 
 
 @dataclass
@@ -198,16 +239,25 @@ class BSequence:
         return FinGenSubgroup(self.basis_ctx, self.b + self.elements)
 
     def verify(self) -> None:
-        """Recheck every structural invariant; raises VerificationError."""
+        """Recheck the stored tower; raises VerificationError.
+
+        Certifies that stage 1 is B, that b^i = M_i b^{i+1} with M_i
+        nonsingular (bonding_fault, the first check), and that each
+        stage-(i+1) basis spans exactly <b^i, h_{i+1}>_Z.
+        """
         _require(self.stages[0].basis == self.b, "stage 1 basis differs from B")
         fault = bonding_fault([s.basis for s in self.stages], self.matrices())
         _require(fault is None, fault)
+        _require(len(self.elements) == len(self.stages),
+                 f"{len(self.elements)} elements for {len(self.stages)} stages")
+        # (lcm of denominators, HNF) is a canonical form of a group
+        # (FinGenSubgroup.same_group)
+        cleared = [_clear_denominators(s.basis) for s in self.stages]
         for i in range(1, len(self.stages)):
-            prev, cur = self.stages[i - 1], self.stages[i]
-            _require(cur.lattice.contains(self.elements[i]),
-                     f"stage {i + 1} lattice misses its adjoined element")
-            _require(all(cur.lattice.contains(v) for v in prev.basis),
-                     f"stage {i + 1} lattice misses the stage {i} basis")
+            (d, prev), (d_next, cur) = cleared[i - 1], cleared[i]
+            d_join, prev_rows, h_row = _adjoin(d, prev, self.elements[i])
+            _require((d_join, hnf_rows(prev_rows + [h_row])) == (d_next, hnf_rows(cur)),
+                     f"stage {i + 1} basis does not span <b^{i}, h_{i + 1}>")
 
     def to_json(self) -> dict:
         return {
@@ -236,37 +286,36 @@ def build_b_sequence(b: list[RealVector], elements: list[RealVector],
     if not b:
         raise ValueError("B must be nonempty")
     ctx = basis_ctx or b[0].basis
-    n = len(ctx.symbols)
-    b_dense = [v.dense(n) for v in b]
-    if rational_rank(b_dense) != len(b):
+    kappa = len(b)
+    # Z-rank equals Q-rank, so HNF ranks of one cleared matrix decide
+    # both the independence of B and the span of every element
+    _, rows = _clear_denominators(b + elements)
+    if len(hnf_rows(rows[:kappa])) != kappa:
         raise DependentGeneratorsError("B is not Q-independent")
     if not elements or not elements[0].is_zero():
         raise ValueError("elements[0] must be 0")
-    for h in elements:
-        if solve_rational(b_dense, h.dense(n)) is None:
-            raise OutOfSpanError(f"{h!r} is outside span_Q(B)")
+    if len(hnf_rows(rows)) != kappa:
+        h = next(h for h, row in zip(elements, rows[kappa:])
+                 if len(hnf_rows(rows[:kappa] + [row])) != kappa)
+        raise OutOfSpanError(f"{h!r} is outside span_Q(B)")
 
-    stage1 = BStage(basis=list(b), matrix=None,
-                    lattice=FinGenSubgroup(ctx, list(b)))
-    stages = [stage1]
+    # the current stage as integers: basis rows over d, and the HNF of
+    # its lattice
+    d, basis_rows = _clear_denominators(b)
+    lattice = hnf_rows(basis_rows)
+    stages = [BStage(basis=list(b), matrix=None)]
     for h in elements[1:]:
-        prev = stages[-1]
-        if prev.lattice.contains(h):
+        d_next, prev_rows, h_row = _adjoin(d, basis_rows, h)
+        if d_next == d and hnf_coefficients(lattice, h_row) is not None:
             # degenerate adjunction: keep the basis, identity bonding
-            ident = [[1 if r == s else 0 for s in range(len(b))]
-                     for r in range(len(b))]
-            stages.append(BStage(basis=list(prev.basis), matrix=ident,
-                                 lattice=prev.lattice))
+            ident = [[int(r == s) for s in range(kappa)] for r in range(kappa)]
+            stages.append(BStage(basis=list(stages[-1].basis), matrix=ident))
             continue
-        lattice = FinGenSubgroup(ctx, prev.basis + [h])
-        # h passed solve_rational above, so the rank stays kappa
-        basis = lattice.basis()
-        mat = []
-        for v in prev.basis:
-            coeffs = lattice.coefficients(v)
-            _require(coeffs is not None, "stage basis does not contain predecessor")
-            mat.append(coeffs)
-        stages.append(BStage(basis=basis, matrix=mat, lattice=lattice))
+        lattice = hnf_rows(prev_rows + [h_row])
+        # h lies in span_Q(B), so the rank stays kappa
+        mat = [hnf_coefficients(lattice, row) for row in prev_rows]
+        d, basis_rows = d_next, lattice
+        stages.append(BStage(basis=_vectors(ctx, d, lattice), matrix=mat))
     seq = BSequence(basis_ctx=ctx, b=list(b), elements=list(elements),
                     stages=stages)
     seq.verify()

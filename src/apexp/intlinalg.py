@@ -2,7 +2,11 @@
 lattice reduction.
 
 Everything here works on plain Python ints / Fractions so that group
-membership and bonding matrices are exact at any size.
+membership and bonding matrices are exact at any size.  The library runs
+on the integer routines (hnf_rows, hnf_coefficients, lll_reduce).
+solve_rational and rational_rank, a Fraction Gauss-Jordan elimination,
+are kept as the reference oracles that the tests compare the integer
+path against; no library code calls them.
 """
 
 from __future__ import annotations

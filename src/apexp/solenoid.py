@@ -56,9 +56,15 @@ class SolenoidSystem:
 
     @classmethod
     def from_bsequence(cls, seq: BSequence) -> "SolenoidSystem":
-        return cls(kappa=seq.kappa,
-                   matrices=[np.asarray(s.matrix) for s in seq.stages[1:]],
-                   stage_bases=[list(s.basis) for s in seq.stages])
+        """The system of a tower that build_b_sequence has certified
+        (BSequence.verify).  The tower is not checked a second time, so
+        a sequence changed after it was built needs seq.verify() first.
+        """
+        system = cls.__new__(cls)
+        system.kappa = seq.kappa
+        system.matrices = [np.asarray(m, dtype=np.int64) for m in seq.matrices()]
+        system.stage_bases = [list(s.basis) for s in seq.stages]
+        return system
 
     def dual_generator_group(self) -> FinGenSubgroup:
         """Subgroup of (R, +) generated by all stage basis values."""

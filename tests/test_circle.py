@@ -144,6 +144,12 @@ class TestDenjoy:
         assert ys.tobytes() == np.array([denjoy.embed(float(x))
                                          for x in xs]).tobytes()
 
+    def test_tiny_negatives_reduce_to_zero(self, denjoy):
+        # -1e-20 + 1 rounds to 1.0, which is the point 0.0
+        assert frac(-1e-20) == 0.0
+        assert frac(np.array([-1e-20, -0.25])).tolist() == [0.0, 0.75]
+        assert denjoy.embed(-1e-20) == denjoy.embed(0.0) < 1.0
+
     def test_rotation_number_pinned(self, denjoy):
         # values of the lift before its two mirror closures became one
         assert rotation_number(denjoy.lift, n=10000)[0] == 0.7071201875963798

@@ -181,6 +181,19 @@ class TestProbeExponent:
             assert probe_exponent(orbit, -a, seqs).verdict == "ACCEPTED"
         assert probe_exponent(orbit, 0.0, seqs).verdict == "ACCEPTED"
 
+    def test_too_few_times_is_inconclusive(self):
+        # one integer return of the T^2 translation within 2e-4: a one-point
+        # tail has spread 0 for every candidate, which is no evidence
+        omega = [math.sqrt(2.0) - 1.0, math.sqrt(3.0) - 1.0]
+        orbit = torus_orbit(omega)
+        t = kronecker_solve(KroneckerQuery([1.0, *omega], [0.0, 0.0, 0.0], 2e-4,
+                                           search_bound=3e6, t_min=1.0))
+        one = FSequence([t], [0.0, 0.0], [orbit.metric(orbit.eval(t), [0.0, 0.0])])
+        for cand in (math.pi, math.sqrt(5.0), 0.5, 1.0 / 3.0):
+            rep = probe_exponent(orbit, cand, [one])
+            assert rep.verdict == "INCONCLUSIVE"
+            assert "1 times, fewer than tail = 10" in rep.notes
+
     @pytest.mark.parametrize("a", [2.0, 1.0 / 3.0])
     def test_scaling_covariance(self, a):
         # reparametrize time by t -> a*t: candidates scale by 1/a with
@@ -464,6 +477,14 @@ class TestInducedCircleMap:
         vals = induced_circle_map(orbit, 0.1, [p1, p2], tol_limit=1e-9)
         assert circle_dist(vals[0], 0.0) < 1e-9
         assert circle_dist(vals[0], vals[1]) < 2e-9
+
+    def test_rejects_a_presentation_that_is_not_an_f_sequence(self):
+        # frac(2 t) settles at 0 on the half integers, but the orbit
+        # points frac(t) alternate between 0 and 1/2
+        orbit = circle_orbit()
+        halves = FSequence(np.arange(1, 13) * 0.5, [0.0], np.zeros(12))
+        with pytest.raises(NonConvergentError, match="not an f-sequence"):
+            induced_circle_map(orbit, 2.0, [halves])
 
     def test_divergent_trace_raises(self):
         orbit = circle_orbit()

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import apexp
+from apexp import groups, solenoid
 from apexp.groups import (DependentGeneratorsError, FinGenSubgroup,
                           OutOfSpanError, VerificationError, bonding_fault,
                           build_b_sequence, decide_equivalence)
@@ -202,6 +203,16 @@ class TestBSequence:
         with pytest.raises(VerificationError, match="identity fails"):
             seq.verify()
 
+    def test_stage_basis_must_span_the_adjunction(self, ctx):
+        # 1 = 4 * (1/4) holds, but stage 2 must be <1, 1/2> = <1/2>
+        one = ctx.symbol("1")
+        seq = build_b_sequence([one], [ctx.zero(), one.scale(Fraction(1, 2))], ctx)
+        seq.stages[1].basis = [one.scale(Fraction(1, 4))]
+        seq.stages[1].matrix = [[4]]
+        assert bonding_fault([s.basis for s in seq.stages], seq.matrices()) is None
+        with pytest.raises(VerificationError, match="stage 2 basis does not span"):
+            seq.verify()
+
     def test_verify_runs_under_optimize(self, tmp_path):
         """The tower checks raise explicitly, so python -O keeps them."""
         code = textwrap.dedent("""
@@ -212,14 +223,18 @@ class TestBSequence:
             assert False  # stripped under -O
             ctx = SymbolBasis([("1", 1.0)])
             one = ctx.symbol("1")
-            seq = build_b_sequence([one], [ctx.zero(), one.scale(Fraction(1, 2))], ctx)
-            seq.stages[1].matrix = [[5]]
-            try:
-                seq.verify()
-            except VerificationError as e:
-                print("caught", e)
-                sys.exit(0)
-            sys.exit("corrupted tower verified")
+            # a wrong bonding matrix, then a stage basis too fine for its
+            # adjunction although its bonding identity holds
+            for basis, matrix in (([one.scale(Fraction(1, 2))], [[5]]),
+                                  ([one.scale(Fraction(1, 4))], [[4]])):
+                seq = build_b_sequence([one], [ctx.zero(), one.scale(Fraction(1, 2))], ctx)
+                seq.stages[1].basis, seq.stages[1].matrix = basis, matrix
+                try:
+                    seq.verify()
+                except VerificationError as e:
+                    print("caught", e)
+                    continue
+                sys.exit("corrupted tower verified")
             """)
         # the source root of the package under test, so the child imports
         # the same apexp wherever pytest was started from
@@ -229,7 +244,9 @@ class TestBSequence:
                                   "PYTHONPATH": str(src_root)},
                              capture_output=True, text=True, cwd=tmp_path)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("caught")
+        lines = out.stdout.splitlines()
+        assert len(lines) == 2 and "identity fails" in lines[0]
+        assert "does not span" in lines[1]
 
     def test_json_roundtrip(self, ctx):
         elements = [ctx.zero(), ctx.vector({"1": "1/2"}),
@@ -504,6 +521,98 @@ class TestBondingCheckOracle:
         assert bonding_fault(bases, [[[2]], [[3]]]) is None
         assert "identity fails" in bonding_fault(bases, [[[2]], [[2]]])
         assert "singular" in bonding_fault([[one], [one]], [[[0]]])
+
+    def test_tower_is_checked_once_on_the_way_to_a_solenoid(self, ctx, monkeypatch):
+        calls = []
+
+        def counting(stage_bases, matrices):
+            calls.append(len(stage_bases))
+            return bonding_fault(stage_bases, matrices)
+
+        monkeypatch.setattr(groups, "bonding_fault", counting)
+        monkeypatch.setattr(solenoid, "bonding_fault", counting)
+        one = ctx.symbol("1")
+        elements = [ctx.zero(), one.scale(Fraction(1, 2)), one.scale(Fraction(1, 3))]
+        system = SolenoidSystem.from_bsequence(build_b_sequence([one], elements, ctx))
+        assert calls == [3]
+        # user and JSON input is still checked in full
+        SolenoidSystem(kappa=1, matrices=system.matrices, stage_bases=system.stage_bases)
+        SolenoidSystem.from_json(system.to_json())
+        assert calls == [3, 3, 3]
+
+
+# towers of the Fraction path: (B, elements, stage bases after stage 1,
+# bonding matrices)
+PINNED_TOWERS = [
+    (["1"], [{}, {"1": "1/2"}, {"1": "1/3"}, {"1": "3/4"}, {"1": "5/6"}],
+     [[{"1": "1/2"}], [{"1": "1/6"}], [{"1": "1/12"}], [{"1": "1/12"}]],
+     [[[2]], [[3]], [[2]], [[1]]]),
+    (["1", "sqrt2"],
+     [{}, {"1": "1/2", "sqrt2": "1/3"}, {"sqrt2": "2/3"}, {"1": "1/4"},
+      {"1": "3/5", "sqrt2": "1/5"}],
+     [[{"1": "1/2"}, {"sqrt2": "1/3"}], [{"1": "1/2"}, {"sqrt2": "1/3"}],
+      [{"1": "1/4"}, {"sqrt2": "1/3"}], [{"1": "1/20", "sqrt2": "4/15"}, {"sqrt2": "1/3"}]],
+     [[[2, 0], [0, 3]], [[1, 0], [0, 1]], [[2, 0], [0, 1]], [[5, -4], [0, 1]]]),
+    (["1", "sqrt2", "sqrt3"],
+     [{}, {"1": "1/2", "sqrt3": "1/3"}, {"sqrt2": "1/6", "sqrt3": "-1/4"}, {"1": "2/3"},
+      {"1": "3/2", "sqrt2": "3/2"}],
+     [[{"1": "1/2"}, {"sqrt2": "1"}, {"sqrt3": "1/3"}],
+      [{"1": "1/2"}, {"sqrt2": "1/6", "sqrt3": "1/12"}, {"sqrt3": "1/6"}],
+      [{"1": "1/6"}, {"sqrt2": "1/6", "sqrt3": "1/12"}, {"sqrt3": "1/6"}],
+      [{"1": "1/6"}, {"sqrt2": "1/6"}, {"sqrt3": "1/12"}]],
+     [[[2, 0, 0], [0, 1, 0], [0, 0, 3]], [[1, 0, 0], [0, 6, -3], [0, 0, 2]],
+      [[3, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 2]]]),
+]
+
+
+@pytest.mark.parametrize("names, elements, bases, matrices", PINNED_TOWERS)
+def test_tower_matches_the_fraction_path(names, elements, bases, matrices):
+    seq = build_b_sequence([THREE.symbol(n) for n in names],
+                           [THREE.vector(e) for e in elements], THREE)
+    assert [[v.to_json()["coords"] for v in s.basis] for s in seq.stages[1:]] == bases
+    assert seq.matrices() == matrices
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.lists(st.integers(-5, 5), min_size=3, max_size=3))
+def test_stage_membership_matches_rational_solve(seed, mult):
+    bases, _ = seeded_tower(random.Random(seed))
+    for basis in bases:
+        lattice = FinGenSubgroup(THREE, basis)
+        rows = [v.dense() for v in lattice.basis()]
+        x = sum((v.scale(c) for v, c in zip(basis, mult)), THREE.zero())
+        for y in (x, x + THREE.vector({"1": Fraction(1, 101)}),
+                  x + basis[-1].scale(Fraction(1, 2))):
+            sol = solve_rational(rows, y.dense())
+            if sol is not None and any(q.denominator != 1 for q in sol):
+                sol = None
+            assert lattice.coefficients(y) == sol
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(three_vectors, min_size=1, max_size=3), st.booleans(), st.data())
+def test_tower_errors_match_fraction_oracles(b, dependent, data):
+    def combination():
+        coeffs = data.draw(st.lists(small_rationals, min_size=len(b), max_size=len(b)))
+        return sum((v.scale(c) for v, c in zip(b, coeffs)), THREE.zero())
+
+    if dependent:
+        b = b + [combination()]
+    # elements inside span_Q(B), or drawn freely
+    elements = [THREE.zero()] + [
+        combination() if data.draw(st.booleans()) else data.draw(three_vectors)
+        for _ in range(data.draw(st.integers(0, 4)))]
+    dense_b = [v.dense() for v in b]
+    outside = [h for h in elements if solve_rational(dense_b, h.dense()) is None]
+    if rational_rank(dense_b) < len(b):
+        with pytest.raises(DependentGeneratorsError):
+            build_b_sequence(b, elements, THREE)
+    elif outside:
+        with pytest.raises(OutOfSpanError) as err:
+            build_b_sequence(b, elements, THREE)
+        assert str(err.value) == f"{outside[0]!r} is outside span_Q(B)"
+    else:
+        build_b_sequence(b, elements, THREE).verify()
 
 
 def two_sided(a, b):
