@@ -5,6 +5,16 @@ A lift F is normalized by F(0) in [0, 1); the induced circle map is
 x -> frac(F(x)).  The blown-up rotation inserts geometric intervals
 along one rotation orbit; the inverse of the insertion is the monotone
 collapse back onto the rotation.
+
+Rotation numbers come two ways.  `rotation_number` is the orbit average
+(F^n(x) - x)/n, good to 2/n.  `rotation_bracket` is exact in its
+endpoints: by the sign test, F^q(x) > x + p at one point x gives
+rho >= p/q and F^q(x) < x + p gives rho <= p/q (Katok and Hasselblatt,
+Introduction to the Modern Theory of Dynamical Systems, Ch. 11), so a
+descent of the Stern-Brocot tree keeps rho between two fractions.  A
+test whose |F^q(x) - x - p| lies within the rounding that q float lift
+steps can make is not decided; the descent stops there, and the bracket
+is then a statement about the float lift.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ __all__ = [
     "closed_form_lift",
     "sampled_lift",
     "rotation_number",
+    "RotationBracket",
+    "rotation_bracket",
     "build_denjoy",
     "suspension_flow",
     "mu_rotation",
@@ -171,6 +183,124 @@ def rotation_number(lift: CircleLift, x0: float = 0.0, n: int = 10000):
     for _ in range(n):
         x = lift.f(x)
     return (x - x0) / n, 2.0 / n
+
+
+BRACKET_MAX_STEPS = 20000  # lift steps one rotation_bracket may spend
+BRACKET_PLAIN_RUN = 4      # mediant steps in one direction before doubling
+
+
+@dataclass(frozen=True)
+class RotationBracket:
+    """lo <= rho <= hi for the rotation number rho of a lift, with the
+    lift steps spent and why the descent stopped: "width" (hi - lo is
+    at most the requested width), "margin" (a sign test fell within the
+    float margin, so lo = hi) or "budget" (the next test would pass
+    BRACKET_MAX_STEPS)."""
+
+    lo: Fraction
+    hi: Fraction
+    lift_steps: int
+    stop: str
+
+    @property
+    def width(self) -> float:
+        return float(self.hi - self.lo)
+
+    @property
+    def estimate(self) -> float:
+        """The midpoint, within width / 2 of rho."""
+        return float((self.lo + self.hi) / 2)
+
+
+def _float_margin(x0: float, q: int) -> float:
+    """Rounding that q float lift steps from x0 can accumulate: each
+    step rounds a value of size at most |x0| + q + 1 by half an ulp,
+    taken 8 times over to spare."""
+    return q * (abs(x0) + q + 1) * 2.0 ** -50
+
+
+def rotation_bracket(lift: CircleLift, x0: float = 0.0,
+                     width: float = 1e-6) -> RotationBracket:
+    """Exact fractions lo <= rho <= hi around the rotation number of the
+    lift, from sign tests of F^q(x0) - x0 - p along the Stern-Brocot tree.
+
+    Each test costs q calls of lift.f.  F^q(x0) > x0 + p gives
+    rho >= p/q, since G = F^q - p then has G^n(x0) >= x0 for all n; the
+    reverse inequality gives rho <= p/q.  The bracket stays a pair of
+    Farey neighbours, so its width is 1/(q q').  The descent stops when
+    that width is at most `width`; when the next test would take the
+    lift steps past BRACKET_MAX_STEPS; or when |F^q(x0) - x0 - p| is at
+    most _float_margin(x0, q).  In the last case the float orbit of x0
+    returns to x0 + p within its own rounding, so for the float lift
+    rho = p/q, and lo = hi = p/q.  Every decided test sits outside the
+    margin, so it holds for any lift whose q-step float iterate at x0 is
+    within that margin of its exact one.
+
+    A run of tests that all move the same end is a partial quotient of
+    rho.  After BRACKET_PLAIN_RUN moves the run goes on by doubling its
+    stride, then halves back onto the first failing mediant, so a large
+    partial quotient a costs O(log a) tests instead of a, while small
+    ones cost what the plain descent costs.
+    """
+    if not width > 0.0:
+        raise ValueError("width must be positive")
+
+    def judge(d: float, q: int) -> int:
+        """+1 when rho >= p/q, -1 when rho <= p/q, 0 within the margin,
+        for d = F^q(x0) - x0 - p."""
+        if abs(d) <= _float_margin(x0, q):
+            return 0
+        return 1 if d > 0 else -1
+
+    def side(p: int, q: int) -> int:
+        nonlocal steps
+        steps += q
+        return judge(lift.iterate(x0, q) - x0 - p, q)
+
+    def done(lo, hi, stop):
+        return RotationBracket(Fraction(*lo), Fraction(*hi), steps, stop)
+
+    def ahead(u, v, n):
+        """The fraction (u_p + n v_p)/(u_q + n v_q), as a (p, q) pair."""
+        return u[0] + n * v[0], u[1] + n * v[1]
+
+    d1 = lift.f(x0) - x0
+    steps = 1
+    k = math.floor(d1)
+    for p in (k, k + 1):
+        if judge(d1 - p, 1) == 0:
+            return done((p, 1), (p, 1), "margin")
+    # a run moves the end a toward the fixed end b while the test gives
+    # `sign`; then the ends swap roles
+    a, b, sign = (k, 1), (k + 1, 1), 1
+    while True:
+        n, stride, growing = 0, 1, True
+        while stride:
+            c = ahead(a, b, n)
+            lo, hi = (c, b) if sign > 0 else (b, c)
+            if 1.0 / (c[1] * b[1]) <= width:
+                return done(lo, hi, "width")
+            m = ahead(c, b, stride)
+            if steps + m[1] > BRACKET_MAX_STEPS:
+                return done(lo, hi, "budget")
+            s = side(*m)
+            if s == 0:
+                return done(m, m, "margin")
+            if s == sign:
+                n += stride
+                if not growing:
+                    stride //= 2
+                elif n >= BRACKET_PLAIN_RUN:
+                    stride *= 2
+            elif growing and stride == 1:
+                break
+            else:
+                # halve back: a + (n + 2 stride) b is known to fail
+                growing = False
+                stride //= 2
+        # a + (n + 1) b failed, by its own test or as the point the last
+        # halving success fell one short of
+        a, b, sign = ahead(a, b, n + 1), ahead(a, b, n), -sign
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import (SuspensionPoint, build_denjoy, closed_form_lift,
-                     rotation_lift, rotation_number, sampled_lift,
-                     suspension_flow)
+                     rotation_bracket, rotation_lift, rotation_number,
+                     sampled_lift, suspension_flow)
 from .exponents import KroneckerQuery, kronecker_solve
 from .groups import FinGenSubgroup, build_b_sequence, decide_equivalence
 from .realfield import RealVector, SymbolBasis, format_rational, parse_rational
@@ -138,7 +138,10 @@ def _cmd_solenoid_flow(args):
 def _cmd_rotnum(args):
     lift = _lift_from_spec(_load_json(args.lift))
     est, bound = rotation_number(lift, x0=args.x0, n=args.n)
-    _dump_json({"estimate": est, "error_bound": bound, "n": args.n})
+    br = rotation_bracket(lift, x0=args.x0, width=bound)
+    _dump_json({"estimate": est, "error_bound": bound, "n": args.n,
+                "bracket": [str(br.lo), str(br.hi)],
+                "bracket_width": br.width, "bracket_stop": br.stop})
     return 0
 
 
@@ -151,12 +154,16 @@ def _cmd_denjoy_build(args):
     basis = SymbolBasis([("1", 1.0), (name, val)])
     d = build_denjoy(basis.symbol(name), parse_rational(args.lam), args.N)
     est, bound = rotation_number(d.lift, n=2000)
+    br = rotation_bracket(d.lift, width=bound)
     a0, b0 = d.interval(0)
     _dump_json({"theta": d.theta_val, "lambda": d.lam, "trunc": d.trunc,
                 "tail_bound": d.tail_bound,
                 "interval_0": [a0, b0],
                 "rotation_number_estimate": est,
-                "rotation_number_bound": bound}, args.out)
+                "rotation_number_bound": bound,
+                "rotation_number_bracket": [str(br.lo), str(br.hi)],
+                "rotation_number_bracket_width": br.width,
+                "rotation_number_bracket_stop": br.stop}, args.out)
     return 0
 
 
@@ -270,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     sf.add_argument("--out")
     sf.set_defaults(func=_cmd_solenoid_flow)
 
-    rn = sub.add_parser("rotnum", help="rotation number of a lift")
+    rn = sub.add_parser("rotnum", help="rotation number of a lift: the "
+                        "n-step estimate and an exact bracket 2/n wide")
     rn.add_argument("--lift", required=True, help="lift spec JSON")
     rn.add_argument("--n", type=int, default=100000)
     rn.add_argument("--x0", type=float, default=0.0)

@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circmath import (circle_dist, circular_gaps, circular_mean,
-                       circular_spread, dist, frac)
+from .circmath import (METRIC_TORUS, circle_dist, circular_gaps,
+                       circular_mean, circular_spread, dist, frac)
 from .groups import VerificationError
 from .kernels import almost_period_sup, kron_scan_grid, kron_scan_integer
 from .realfield import RealVector
@@ -40,6 +40,7 @@ __all__ = [
 TOL_ORBIT = 1e-6
 TOL_LIMIT = 1e-3
 GAP_MIN = 0.1
+LATE_MIN = 2  # trace values among the last `tail` each cluster needs to reject
 CAUCHY_TOL = 0.05
 UNBOUNDED_THRESHOLD = 100.0
 
@@ -216,40 +217,56 @@ def probe_exponent(orbit: OrbitEvaluator, candidate,
     every supplied sequence, and every sequence has at least `tail`
     times (a shorter tail is no evidence of a limit).  REJECTED: some
     sequence (typically a breaker) passes the orbit Cauchy check while
-    its trace clusters at two values >= GAP_MIN apart.  INCONCLUSIVE
-    otherwise.
+    its last 2 * tail trace values cluster at two values >= GAP_MIN
+    apart, and each cluster holds at least LATE_MIN of the last `tail`
+    values, so the oscillation persists (a trace that settles late is no
+    oscillation).  INCONCLUSIVE otherwise.
     """
     if not sequences and not breakers:
         raise ValueError("at least one sequence is required")
     val = _freq_value(candidate)
     worst_spread = 0.0
-    inconclusive = False
+    inconclusive = faded = False
     seqs = list(sequences) + list(breakers)
     shortest = min(seq.times.size for seq in seqs)
     for seq in seqs:
         trace = frac(val * seq.times)[-2 * tail:]
-        spread = circular_spread(trace[-tail:])
+        late = trace[-tail:]
+        spread = circular_spread(late)
         if spread <= tol_limit and seq.times.size >= tail:
             worst_spread = max(worst_spread, spread)
             continue
-        split = _two_clusters(trace)
-        if split is not None:
-            c1, s1, c2, s2, gap = split
-            if gap >= GAP_MIN and max(s1, s2) < gap / 2:
-                orbit_spread = seq.verify_cauchy(orbit, tail=tail)
-                if orbit_spread <= cauchy_tol:
-                    return ExponentProbeReport(
-                        candidate, "REJECTED",
-                        rejection_times=seq.times,
-                        rejection_clusters=(c1, c2),
-                        rejection_gap=gap,
-                        rejection_orbit_spread=orbit_spread,
-                        notes="trace oscillates on a verified f-sequence")
         inconclusive = True
+        split = _two_clusters(trace)
+        if split is None:
+            continue
+        c1, s1, c2, s2, gap = split
+        if not (gap >= GAP_MIN and max(s1, s2) < gap / 2):
+            continue
+        # with spreads below gap / 2 each value is nearer its own center
+        first = int(np.count_nonzero(dist(late[:, None], c1, METRIC_TORUS)
+                                     < dist(late[:, None], c2, METRIC_TORUS)))
+        if min(first, late.size - first) < LATE_MIN:
+            faded = True
+            continue
+        orbit_spread = seq.verify_cauchy(orbit, tail=tail)
+        if orbit_spread <= cauchy_tol:
+            return ExponentProbeReport(
+                candidate, "REJECTED",
+                rejection_times=seq.times,
+                rejection_clusters=(c1, c2),
+                rejection_gap=gap,
+                rejection_orbit_spread=orbit_spread,
+                notes=(f"trace oscillates on a verified f-sequence; each "
+                       f"cluster holds at least {LATE_MIN} of the last "
+                       f"{tail} values"))
     if inconclusive:
         if shortest < tail:
             notes = (f"a sequence has {shortest} times, fewer than "
                      f"tail = {tail}")
+        elif faded:
+            notes = (f"a trace splits into two clusters, but one holds fewer "
+                     f"than {LATE_MIN} of the last {tail} values")
         else:
             notes = "trace neither settles nor splits into two verified clusters"
         return ExponentProbeReport(candidate, "INCONCLUSIVE", notes=notes)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .circle import build_denjoy, rotation_number
+from .circle import build_denjoy, rotation_bracket
 from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                        circle_dist, circular_gaps, dist, frac)
 from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
@@ -386,10 +386,14 @@ def _run_denjoy_suspension(params: dict) -> RunReport:
                                      relations=[[-1, -1, 1]], **common)
     report.check("breaker refuses lattice member", refused is None, refused)
 
-    est, bound = rotation_number(d.lift, n=params["rot_n"])
+    # theta inside an exact rotation bracket as narrow as the 2/rot_n
+    # bound of a rot_n-step orbit average
+    width = 2.0 / params["rot_n"]
+    br = rotation_bracket(d.lift, width=width)
     report.check("rotation number matches theta",
-                 abs(est - theta.eval()) <= bound,
-                 {"estimate": est, "bound": bound})
+                 br.lo <= theta.eval() <= br.hi and br.width <= width,
+                 {"estimate": br.estimate, "bound": br.width / 2,
+                  "bracket": [str(br.lo), str(br.hi)]})
     return report
 
 

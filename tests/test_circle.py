@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apexp.circle import (CircleLift, NotMonotoneError, PrecisionError,
-                          RationalThetaError, SuspensionPoint, build_denjoy,
-                          closed_form_lift, mu_rotation, rotation_lift,
-                          rotation_number, sampled_lift, suspension_flow,
+from apexp import circle
+from apexp.circle import (BRACKET_MAX_STEPS, CircleLift, NotMonotoneError,
+                          PrecisionError, RationalThetaError, SuspensionPoint,
+                          build_denjoy, closed_form_lift, mu_rotation,
+                          rotation_bracket, rotation_lift, rotation_number,
+                          sampled_lift, suspension_flow,
                           suspension_semiconjugacy)
 from apexp.circmath import circle_dist, frac
 from apexp.realfield import SymbolBasis
@@ -87,6 +89,97 @@ class TestRotationNumber:
         for n in (100, 1000, 10000):
             est, bound = rotation_number(denjoy.lift, n=n)
             assert abs(est - THETA) <= bound
+
+
+def continued_fraction(quotients, tail=(math.sqrt(5.0) - 1.0) / 2.0):
+    """[0; a1, a2, ..., ak + tail]: a value whose partial quotients start
+    with `quotients` and then stay 1."""
+    x = tail
+    for a in reversed(quotients):
+        x = 1.0 / (a + x)
+    return x
+
+
+def arnold_lift():
+    return closed_form_lift("x + 0.3 + 0.5/(2*pi)*sin(2*pi*x)")
+
+
+def wavy_sampled_lift():
+    xs = np.linspace(0.0, 1.0, 64, endpoint=False)
+    return sampled_lift(xs, xs + 0.4 + 0.05 * np.sin(2 * np.pi * xs))
+
+
+def assert_farey_neighbours(br):
+    assert br.hi.numerator * br.lo.denominator \
+        - br.lo.numerator * br.hi.denominator == 1
+
+
+class TestRotationBracket:
+    @pytest.mark.parametrize("make", [
+        lambda d: d.lift, lambda d: rotation_lift(THETA),
+        lambda d: wavy_sampled_lift(), lambda d: arnold_lift()],
+        ids=["denjoy", "rigid", "sampled", "arnold"])
+    def test_holds_the_orbit_average(self, denjoy, make):
+        lift = make(denjoy)
+        br = rotation_bracket(lift, width=1e-5)
+        assert br.stop == "width" and br.width <= 1e-5
+        assert_farey_neighbours(br)
+        for n in (1000, 10000):
+            est, bound = rotation_number(lift, n=n)
+            assert br.lo - Fraction(bound) <= Fraction(est) \
+                <= br.hi + Fraction(bound)
+
+    def test_theta_inside_on_the_denjoy_lift(self, denjoy):
+        br = rotation_bracket(denjoy.lift, width=1e-7)
+        assert br.lo <= THETA <= br.hi and br.width <= 1e-7
+        assert abs(br.estimate - THETA) <= br.width / 2
+
+    @pytest.mark.parametrize("x0", [0.0, 0.7, -2.3])
+    def test_rational_rotation_is_exact(self, x0):
+        br = rotation_bracket(rotation_lift(0.25), x0=x0)
+        assert br.stop == "margin"
+        assert br.lo == br.hi == Fraction(1, 4)
+        assert br.width == 0.0
+
+    def test_large_partial_quotient_by_doubling(self, monkeypatch):
+        theta = continued_fraction([3, 50])
+        br = rotation_bracket(rotation_lift(theta), width=2e-4)
+        assert br.stop == "width" and br.width <= 2e-4
+        assert br.lo <= theta <= br.hi
+        assert br.lift_steps <= BRACKET_MAX_STEPS
+        monkeypatch.setattr(circle, "BRACKET_PLAIN_RUN", 10 ** 9)
+        plain = rotation_bracket(rotation_lift(theta), width=2e-4)
+        assert plain.lo <= theta <= plain.hi
+        assert br.lift_steps < plain.lift_steps / 2
+
+    def test_small_quotients_cost_the_plain_descent(self, denjoy, monkeypatch):
+        br = rotation_bracket(denjoy.lift, width=2e-4)
+        monkeypatch.setattr(circle, "BRACKET_PLAIN_RUN", 10 ** 9)
+        assert rotation_bracket(denjoy.lift, width=2e-4) == br
+
+    def test_denjoy_lift_steps(self, denjoy, monkeypatch):
+        calls = 0
+        f = denjoy.lift.f
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return f(x)
+
+        monkeypatch.setattr(denjoy.lift, "f", counted)
+        br = rotation_bracket(denjoy.lift, width=2e-4)
+        assert br.width <= 2e-4 and br.lo <= THETA <= br.hi
+        assert calls == br.lift_steps <= 410
+
+    def test_budget_caps_the_descent(self):
+        br = rotation_bracket(arnold_lift(), width=1e-12)
+        assert br.stop == "budget" and br.lift_steps <= BRACKET_MAX_STEPS
+        assert_farey_neighbours(br)
+        assert br.lo <= 0.2927398243955 <= br.hi
+
+    def test_rejects_nonpositive_width(self):
+        with pytest.raises(ValueError):
+            rotation_bracket(rotation_lift(THETA), width=0.0)
 
 
 class TestDenjoy:

@@ -130,6 +130,21 @@ def test_rotnum(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["estimate"] == pytest.approx(0.25, abs=1e-12)
     assert out["error_bound"] == pytest.approx(2e-3)
+    assert out["bracket"] == ["1/4", "1/4"]
+    assert out["bracket_width"] == 0.0 and out["bracket_stop"] == "margin"
+
+
+def test_rotnum_bracket_width_follows_n(tmp_path, capsys):
+    lift = write(tmp_path, "lift.json",
+                 {"kind": "closed_form",
+                  "expr": "x + 0.3 + 0.5/(2*pi)*sin(2*pi*x)"})
+    assert main(["rotnum", "--lift", lift, "--n", "5000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    lo, hi = (Fraction(v) for v in out["bracket"])
+    assert out["bracket_stop"] == "width"
+    assert out["bracket_width"] == float(hi - lo) <= out["error_bound"]
+    assert lo - Fraction(out["error_bound"]) <= Fraction(out["estimate"]) \
+        <= hi + Fraction(out["error_bound"])
 
 
 def test_denjoy_build(tmp_path, capsys):
@@ -141,6 +156,11 @@ def test_denjoy_build(tmp_path, capsys):
     assert float(d["tail_bound"]) < 1e-6
     assert abs(d["rotation_number_estimate"] - math.sqrt(2) / 2) \
         <= d["rotation_number_bound"]
+    lo, hi = (Fraction(v) for v in d["rotation_number_bracket"])
+    assert lo <= math.sqrt(2) / 2 <= hi
+    assert d["rotation_number_bracket_width"] == float(hi - lo) \
+        <= d["rotation_number_bound"]
+    assert d["rotation_number_bracket_stop"] == "width"
 
 
 def test_denjoy_build_rejects_rational_theta(capsys):

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apexp.circmath import (METRIC_EUCLIDEAN, METRIC_TORUS, circle_dist,
-                            circular_spread, frac)
+                            circular_spread, dist, frac)
 from apexp.exponents import (FSequence, IncompatibleTargetsError,
                              KroneckerQuery, NonConvergentError,
                              OrbitEvaluator, _refine_minima,
                              build_breaker_sequence, find_f_sequences,
                              induced_circle_map, kronecker_solve,
                              probe_exponent, scan_almost_periods)
-from apexp.scenarios import example1_map, spiral_orbit
+from apexp.scenarios import _dyadic_bsequence, example1_map, spiral_orbit
+from apexp.solenoid import SolenoidSystem, pi_solenoid
 
 THETA = math.sqrt(2.0) / 2.0
 
@@ -207,6 +209,55 @@ class TestProbeExponent:
                              (0.5, "REJECTED")):
             assert probe_exponent(orbit, cand, seqs).verdict == expect
             assert probe_exponent(scaled, cand * a, sseqs).verdict == expect
+
+    def test_late_settling_trace_is_not_rejected(self):
+        # the depth-48 dyadic solenoid flow, each stage circle embedded as
+        # 2^-i (cos, sin): on the breaker-shaped times 4^n the trace of
+        # 2^-30 splits early but its last 7 values are exactly 0
+        depth = 48
+        system = SolenoidSystem.from_bsequence(_dyadic_bsequence(depth))
+        weight = 2.0 ** -np.arange(depth)
+
+        def points(ts):
+            angle = 2 * np.pi * pi_solenoid(system, ts).stages[..., 0]
+            return np.concatenate([weight * np.cos(angle),
+                                   weight * np.sin(angle)], axis=-1)
+
+        orbit = OrbitEvaluator(points, METRIC_EUCLIDEAN)
+        base = orbit.eval(0.0)
+
+        def returns(times):
+            return FSequence(times, base,
+                             dist(orbit.batch(times), base, METRIC_EUCLIDEAN))
+
+        n = np.arange(10, 44)
+        seqs = [returns(2.0 ** n), returns(3 * 2.0 ** n),
+                returns(4.0 ** np.arange(5, 22))]
+        late = probe_exponent(orbit, 2.0 ** -30, seqs)
+        assert late.verdict == "INCONCLUSIVE"
+        assert "fewer than 2 of the last 10 values" in late.notes
+        third = probe_exponent(orbit, 1.0 / 3.0, seqs)
+        assert third.verdict == "REJECTED"
+        assert "at least 2 of the last 10 values" in third.notes
+
+    @settings(max_examples=60, deadline=None)
+    @given(early=st.lists(st.integers(0, 63), min_size=0, max_size=20),
+           value=st.integers(0, 63), tail=st.integers(4, 12),
+           lead=st.integers(-1, 0), tol_limit=st.sampled_from([0.0, 1e-3]))
+    def test_trace_constant_over_tail_never_rejected(self, early, value, tail,
+                                                     lead, tol_limit):
+        # a constant orbit passes every Cauchy check, so only the trace
+        # decides; times n + k/64 give the trace k/64 exactly.  Each
+        # cluster needs two of the last `tail` values, so a trace constant
+        # over its last tail - 1 values (lead = -1), let alone its last
+        # tail, never splits into a persistent oscillation
+        orbit = OrbitEvaluator(lambda ts: np.zeros((ts.size, 1)), METRIC_TORUS)
+        run = tail + lead
+        fracs = np.array(early + [value] * run, dtype=float) / 64.0
+        times = np.arange(1, fracs.size + 1) + fracs
+        seq = FSequence(times, [0.0], np.zeros(times.size))
+        rep = probe_exponent(orbit, 1.0, [seq], tol_limit=tol_limit, tail=tail)
+        assert rep.verdict != "REJECTED"
 
 
 class TestAlmostPeriods:

@@ -1,6 +1,11 @@
-"""Every name a module under apexp imports is used by that module."""
+"""Every name a module under apexp imports is used by that module, and
+importing apexp after numpy loads only a few small standard modules."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +45,29 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# top-level modules that `import apexp` may add to a process that has
+# already imported numpy; each new one adds to every command's start-up
+ALLOWED_AFTER_NUMPY = {"__future__", "_decimal", "apexp", "copy",
+                       "dataclasses", "decimal", "fractions"}
+
+
+def test_import_adds_only_known_modules(tmp_path):
+    code = ("import json, sys\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "import apexp\n"
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(json.dumps(sorted(added)))\n")
+    # the source root of the package under test, so the child imports the
+    # same apexp wherever pytest was started from
+    src_root = Path(apexp.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={"PATH": os.environ.get("PATH", os.defpath),
+                              "PYTHONPATH": str(src_root)},
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    added = set(json.loads(out.stdout))
+    assert "apexp" in added
+    assert added <= ALLOWED_AFTER_NUMPY, sorted(added - ALLOWED_AFTER_NUMPY)

@@ -41,6 +41,16 @@ class TestScenarioRuns:
         gap = by_name["candidate sqrt2 rejected (targets 0 and 1/3)"]
         assert abs(gap.measured["gap"] - 1.0 / 3.0) < 0.05
 
+    def test_denjoy_rotation_bracket(self, reports):
+        by_name = {e.name: e for e in reports["denjoy-suspension"].expectations}
+        rot = by_name["rotation number matches theta"].measured
+        lo, hi = (Fraction(v) for v in rot["bracket"])
+        theta = math.sqrt(2.0) / 2.0
+        assert lo <= theta <= hi and hi - lo <= 2 * Fraction(1, 10000)
+        assert rot["estimate"] == float((lo + hi) / 2)
+        assert rot["bound"] == float((hi - lo) / 2)
+        assert abs(rot["estimate"] - theta) <= rot["bound"]
+
     def test_dyadic_matrices(self, reports):
         by_name = {e.name: e for e in reports["dyadic-solenoid"].expectations}
         mats = by_name["all bonding matrices are [2]"].measured
