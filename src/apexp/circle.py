@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circmath import circle_dist, frac
+from .circmath import METRIC_TORUS, dist, frac
 from .realfield import RealVector, parse_rational
 
 __all__ = [
@@ -435,7 +435,7 @@ class SuspensionPoint:
         self.x = frac(self.x)
 
     def dist(self, other: "SuspensionPoint") -> float:
-        return max(circle_dist(self.s, other.s), circle_dist(self.x, other.x))
+        return float(dist([self.s, self.x], [other.s, other.x], METRIC_TORUS))
 
 
 def suspension_flow(lift: CircleLift, t: float, p: SuspensionPoint) -> SuspensionPoint:

@@ -78,8 +78,19 @@ def _lift_from_spec(spec: dict):
 
 
 def _t_grid(arg: str) -> np.ndarray:
-    a, b, n = arg.split(":")
-    return np.linspace(float(a), float(b), int(n))
+    """The argparse type of --t-grid: 'a:b:n' is n times from a to b."""
+    try:
+        a, b, n = arg.split(":")
+        return np.linspace(float(a), float(b), int(n))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a:b:n with a whole n >= 0, got {arg!r}") from None
+
+
+def _add_t_grid(parser):
+    parser.add_argument("--t-grid", required=True, metavar="a:b:n",
+                        type=_t_grid, help="n evenly spaced times from a to "
+                        "b; write a negative start as --t-grid=-50:500:1001")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +135,7 @@ def _cmd_solenoid_flow(args):
     try:
         print("t,stage," + ",".join(f"coord{j}" for j in range(system.kappa)),
               file=out)
-        ts = _t_grid(args.t_grid)
+        ts = args.t_grid
         for t, stages in zip(ts, pi_solenoid(system, ts).stages):
             for i, stage in enumerate(stages):
                 row = ",".join(f"{c:.12f}" for c in stage)
@@ -173,7 +184,7 @@ def _cmd_suspend_orbit(args):
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         print("t,s,x", file=out)
-        for t in _t_grid(args.t_grid):
+        for t in args.t_grid:
             q = suspension_flow(lift, float(t), p)
             print(f"{t:.6f},{q.s:.12f},{q.x:.12f}", file=out)
     finally:
@@ -273,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = sol.add_subparsers(dest="sub", required=True)
     sf = ssub.add_parser("flow", help="CSV of the one-parameter subgroup")
     sf.add_argument("--system", required=True)
-    sf.add_argument("--t-grid", required=True, metavar="a:b:n")
+    _add_t_grid(sf)
     sf.add_argument("--out")
     sf.set_defaults(func=_cmd_solenoid_flow)
 
@@ -297,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     spsub = susp.add_subparsers(dest="sub", required=True)
     so = spsub.add_parser("orbit", help="CSV orbit of a suspension point")
     so.add_argument("--lift", required=True)
-    so.add_argument("--t-grid", required=True, metavar="a:b:n")
+    _add_t_grid(so)
     so.add_argument("--s", type=float, default=0.0)
     so.add_argument("--x", type=float, default=0.0)
     so.add_argument("--out")

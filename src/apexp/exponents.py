@@ -30,6 +30,8 @@ __all__ = [
     "IncompatibleTargetsError",
     "NonConvergentError",
     "find_f_sequences",
+    "interleaved_sequences",
+    "presented_limits",
     "probe_exponent",
     "scan_almost_periods",
     "kronecker_solve",
@@ -42,7 +44,6 @@ TOL_LIMIT = 1e-3
 GAP_MIN = 0.1
 LATE_MIN = 2  # trace values among the last `tail` each cluster needs to reject
 CAUCHY_TOL = 0.05
-UNBOUNDED_THRESHOLD = 100.0
 
 
 class IncompatibleTargetsError(ValueError):
@@ -68,6 +69,22 @@ def trace_limit(val: float, times: np.ndarray, tol_limit: float, tail: int,
         raise NonConvergentError(
             f"{what}: tail spread {spread:.3g} exceeds {tol_limit:.3g}")
     return circular_mean(trace)
+
+
+def presented_limits(orbit: OrbitEvaluator, times, freqs: dict[str, float], *,
+                     tol_orbit: float, tol_limit: float, tail: int) -> list[float]:
+    """The trace_limit of each frequency of `freqs`, named by its key, at
+    the point the f-sequence `times` presents.  The one f-sequence check:
+    raises NonConvergentError when the orbit points at the last `tail`
+    times spread more than tol_orbit."""
+    times = np.asarray(times, dtype=float)
+    spread = orbit.spread(times[-tail:])
+    if spread > tol_orbit:
+        raise NonConvergentError(
+            f"times are not an f-sequence: orbit tail spread {spread:.3g} "
+            f"exceeds {tol_orbit:.3g}")
+    return [trace_limit(v, times, tol_limit, tail, what)
+            for what, v in freqs.items()]
 
 
 @dataclass
@@ -101,19 +118,18 @@ class FSequence:
     times: np.ndarray
     target: np.ndarray
     cauchy_profile: np.ndarray  # d(f(t_i), target)
-    unbounded: bool = False
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.target = np.atleast_1d(np.asarray(self.target, dtype=float))
         self.cauchy_profile = np.asarray(self.cauchy_profile, dtype=float)
-        self.unbounded = bool(np.max(np.abs(self.times)) > UNBOUNDED_THRESHOLD) \
-            if self.times.size else False
 
-    def verify_cauchy(self, orbit: OrbitEvaluator, tail: int = 8) -> float:
-        """Recompute the tail spread of the orbit values; the sequence is
-        (desk-scale) Cauchy when this is small."""
-        return orbit.spread(self.times[-tail:])
+
+def interleaved_sequences(times, target, profile, count: int) -> list[FSequence]:
+    """Deal return times, with their distances to the target, into
+    `count` interleaved sequences; one left empty is dropped."""
+    return [FSequence(times[j::count], target, profile[j::count])
+            for j in range(count) if times[j::count].size]
 
 
 def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
@@ -140,13 +156,7 @@ def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
     t, d = _refine_minima(orbit, target, ts[idx] - grid, ts[idx] + grid, 60)
     t, d = t[d <= tol_orbit], d[d <= tol_orbit]
     order = np.lexsort((d, t))
-    times, profile = t[order], d[order]
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    out = []
-    for j in range(count):
-        if times[j::count].size:
-            out.append(FSequence(times[j::count], target, profile[j::count]))
-    return out
+    return interleaved_sequences(t[order], target, d[order], count)
 
 
 def _refine_minima(orbit, target, lo, hi, iters):
@@ -249,7 +259,7 @@ def probe_exponent(orbit: OrbitEvaluator, candidate,
         if min(first, late.size - first) < LATE_MIN:
             faded = True
             continue
-        orbit_spread = seq.verify_cauchy(orbit, tail=tail)
+        orbit_spread = orbit.spread(seq.times[-tail:])
         if orbit_spread <= cauchy_tol:
             return ExponentProbeReport(
                 candidate, "REJECTED",
@@ -398,13 +408,6 @@ def _exactly_within(vals, targs, eps, t) -> bool:
     return True
 
 
-@dataclass
-class BreakerSequence(FSequence):
-    """An f-sequence whose gamma-trace alternates between two targets."""
-
-    gamma_targets: tuple = (0.0, 0.5)
-
-
 def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
                            frequencies: list, fixed_targets: list[float],
                            two_targets: tuple, count: int = 24,
@@ -421,7 +424,7 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
     Returns None (NOT_FOUND) when the targets cannot oscillate: either
     they are closer than GAP_MIN (the consistency-refusal case) or a
     relation compatibility check fails.  Raises NonConvergentError when
-    the collected times fail the orbit Cauchy check.
+    the orbit points at the last 8 times spread more than cauchy_tol.
     """
     if circle_dist(two_targets[0], two_targets[1]) < GAP_MIN:
         return None
@@ -449,16 +452,10 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
         times.append(t)
         t_prev = abs(t)
     times = np.array(times)
+    presented_limits(orbit, times, {}, tol_orbit=cauchy_tol,
+                     tol_limit=TOL_LIMIT, tail=8)
     pts = orbit.batch(times)
-    profile = dist(pts, pts[-1], orbit.metric_kind)
-    seq = BreakerSequence(times=times, target=pts[-1],
-                          cauchy_profile=profile,
-                          gamma_targets=tuple(two_targets))
-    spread = seq.verify_cauchy(orbit)
-    if spread > cauchy_tol:
-        raise NonConvergentError(
-            f"breaker times are not an f-sequence: orbit tail spread {spread:.3g}")
-    return seq
+    return FSequence(times, pts[-1], dist(pts, pts[-1], orbit.metric_kind))
 
 
 def induced_circle_map(orbit: OrbitEvaluator, alpha,
@@ -473,10 +470,6 @@ def induced_circle_map(orbit: OrbitEvaluator, alpha,
     points spread more than TOL_ORBIT, so it is no f-sequence of `orbit`.
     """
     val = _freq_value(alpha)
-    for seq in presentations:
-        spread = orbit.spread(seq.times[-tail:])
-        if spread > TOL_ORBIT:
-            raise NonConvergentError(
-                f"times are not an f-sequence: orbit tail spread {spread:.3g}")
-    return [trace_limit(val, seq.times, tol_limit, tail, "trace")
+    return [presented_limits(orbit, seq.times, {"trace": val}, tol_orbit=TOL_ORBIT,
+                             tol_limit=tol_limit, tail=tail)[0]
             for seq in presentations]

@@ -21,10 +21,10 @@ from .circle import build_denjoy, rotation_bracket
 from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                        circle_dist, circular_gaps, dist, frac)
 from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
-                        find_f_sequences, probe_exponent)
+                        find_f_sequences, interleaved_sequences, probe_exponent)
 from .groups import build_b_sequence
 from .realfield import SymbolBasis
-from .solenoid import SolenoidSystem, pi_solenoid
+from .solenoid import TOL_CONSIST, SolenoidSystem, pi_solenoid
 
 __all__ = [
     "Expectation",
@@ -305,9 +305,7 @@ def _integer_returns(orbit: OrbitEvaluator, base: np.ndarray, n_max: int,
     ns = np.arange(1, n_max + 1, dtype=float)
     dists = dist(orbit.batch(ns), base, orbit.metric_kind)
     keep = dists <= tol
-    hits, profile = ns[keep], dists[keep]
-    return [FSequence(hits[j::count], base, profile[j::count])
-            for j in range(count) if hits[j::count].size]
+    return interleaved_sequences(ns[keep], base, dists[keep], count)
 
 
 def _denjoy_suspension(params: dict):
@@ -427,7 +425,7 @@ def _run_dyadic_solenoid(params: dict) -> RunReport:
 
     ts = np.linspace(-100.0, 100.0, params["n_grid"])
     worst = pi_solenoid(system, ts).consistency_residual(system)
-    report.check("consistency residual over the grid", worst <= 1e-9, worst)
+    report.check("consistency residual over the grid", worst <= TOL_CONSIST, worst)
 
     dual = system.dual_generator_group()
     report.check("dual generators recover the stage group",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circmath import METRIC_TORUS, dist, frac
-from .exponents import TOL_LIMIT, TOL_ORBIT, NonConvergentError, trace_limit
+from .exponents import TOL_LIMIT, TOL_ORBIT, NonConvergentError, presented_limits
 from .groups import BSequence, FinGenSubgroup, bonding_fault
 from .realfield import RealVector
 
@@ -144,17 +144,13 @@ def semiconjugacy_to_solenoid(orbit, seq: BSequence, times,
     f-sequence: stage coordinates are the numeric limits of
     frac(b_j^i * t_i).
 
-    `orbit` is an OrbitEvaluator (used to verify the presentation is
-    Cauchy); `times` is the f-sequence of reals.  Raises
-    NonConvergentError if any coordinate tail spread exceeds tol_limit.
+    `orbit` is an OrbitEvaluator and `times` an f-sequence of it.
+    Raises NonConvergentError if the orbit tail spread exceeds tol_orbit
+    or any coordinate tail spread exceeds tol_limit (presented_limits).
     """
-    times = np.asarray(times, dtype=float)
-    if orbit is not None:
-        spread = orbit.spread(times[-tail:])
-        if spread > tol_orbit:
-            raise NonConvergentError(
-                f"times are not an f-sequence: orbit tail spread {spread:.3g}")
-    return SolenoidPoint([[trace_limit(v.eval(), times, tol_limit, tail,
-                                       f"stage {i} coord {j}")
-                           for j, v in enumerate(basis.basis)]
-                          for i, basis in enumerate(seq.stages)])
+    coords = presented_limits(
+        orbit, times, {f"stage {i} coord {j}": v.eval()
+                       for i, basis in enumerate(seq.stages)
+                       for j, v in enumerate(basis.basis)},
+        tol_orbit=tol_orbit, tol_limit=tol_limit, tail=tail)
+    return SolenoidPoint(np.reshape(coords, (len(seq.stages), seq.kappa)))

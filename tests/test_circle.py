@@ -303,6 +303,26 @@ class TestSuspension:
             assert circle_dist(a.x, b.x) < 1e-9
 
 
+    def test_dist_is_the_torus_metric(self):
+        # SuspensionPoint.dist goes through circmath.dist; it gives the
+        # bits of the max of the two circle distances it replaced
+        rng = np.random.default_rng(11)
+        pairs = [((float(a), float(b)), (float(c), float(d)))
+                 for a, b, c, d in rng.uniform(0, 1, size=(200, 4))]
+        # coordinates on both sides of 1, and x given past 1 or below 0
+        pairs += [((0.97, 0.99), (0.02, 1.01)), ((0.999, 1.75), (0.0, -0.1)),
+                  ((1 - 2 ** -53, 0.5), (0.0, 1 - 2 ** -53)),
+                  ((0.0, 3.0 - 1e-16), (0.5, -2.0))]
+        # coordinates exactly 0.5 apart
+        pairs += [((0.0, 0.5), (0.5, 0.0)), ((0.25, 0.1), (0.75, 0.6)),
+                  ((0.125, 0.875), (0.625, 0.375)), ((0.5, 0.3), (0.0, 0.8))]
+        for (s1, x1), (s2, x2) in pairs:
+            p, q = SuspensionPoint(s1, x1), SuspensionPoint(s2, x2)
+            want = max(circle_dist(p.s, q.s), circle_dist(p.x, q.x))
+            got = p.dist(q)
+            assert type(got) is float and got.hex() == want.hex()
+
+
 class TestMu:
     def test_base_point(self, theta_basis):
         assert mu_rotation(theta_basis.symbol("theta"),

@@ -105,14 +105,19 @@ def test_group_equiv_has_no_bound(tmp_path, capsys):
     assert "unrecognized arguments: --bound 6" in capsys.readouterr().err
 
 
-def test_solenoid_flow_csv(tmp_path):
+def dyadic_system(tmp_path):
+    """A depth-3 dyadic solenoid system, written to system.json."""
     basis = SymbolBasis([("1", 1.0)])
     one = basis.symbol("1")
     seq = build_b_sequence([one], [basis.zero(),
                                    one.scale(Fraction(1, 2)),
                                    one.scale(Fraction(1, 4))], basis)
     system = SolenoidSystem.from_bsequence(seq)
-    spath = write(tmp_path, "system.json", system.to_json())
+    return write(tmp_path, "system.json", system.to_json())
+
+
+def test_solenoid_flow_csv(tmp_path):
+    spath = dyadic_system(tmp_path)
     out = tmp_path / "flow.csv"
     assert main(["solenoid", "flow", "--system", spath, "--t-grid", "0:4:5",
                  "--out", str(out)]) == 0
@@ -177,6 +182,45 @@ def test_suspend_orbit_csv(tmp_path):
     assert lines[0] == "t,s,x"
     t, s, x = (float(v) for v in lines[-1].split(","))
     assert (t, s, x) == (2.0, 0.0, (0.5 + 2 * 0.25) % 1.0)
+
+
+def t_grid_command(tmp_path, command):
+    """The arguments of `solenoid flow` or `suspend orbit` before --t-grid."""
+    if command == "solenoid":
+        return ["solenoid", "flow", "--system", dyadic_system(tmp_path)]
+    lift = write(tmp_path, "lift.json", {"kind": "rotation", "theta": 0.25})
+    return ["suspend", "orbit", "--lift", lift]
+
+
+@pytest.mark.parametrize("command", ["solenoid", "suspend"])
+@pytest.mark.parametrize("grid", ["0:1", "0:1:x", "0:1:2:3", "a:1:3",
+                                  "0:1:-2", "0:1:2.5"])
+def test_malformed_t_grid_is_a_usage_error(tmp_path, capsys, command, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(t_grid_command(tmp_path, command) + ["--t-grid", grid])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument --t-grid: expected a:b:n with a whole n >= 0, got {grid!r}" \
+        in err
+
+
+@pytest.mark.parametrize("command", ["solenoid", "suspend"])
+def test_negative_t_grid_start(tmp_path, capsys, command):
+    argv = t_grid_command(tmp_path, command)
+    out = tmp_path / "grid.csv"
+    assert main(argv + ["--t-grid=-50:500:3", "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert sorted({float(r.split(",")[0]) for r in rows}) == [-50.0, 225.0, 500.0]
+    # written apart, argparse reads the negative start as an option
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--t-grid", "-50:500:3"])
+    assert exc.value.code == 2
+    assert "argument --t-grid: expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:2] + ["--help"])
+    assert exc.value.code == 0
+    assert "--t-grid=-50:500:1001" in capsys.readouterr().out
 
 
 def test_exponents_probe(tmp_path, capsys):

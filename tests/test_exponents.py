@@ -1,19 +1,23 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from apexp.circmath import (METRIC_EUCLIDEAN, METRIC_TORUS, circle_dist,
                             circular_spread, dist, frac)
+from apexp import exponents, solenoid
 from apexp.exponents import (FSequence, IncompatibleTargetsError,
                              KroneckerQuery, NonConvergentError,
                              OrbitEvaluator, _refine_minima,
                              build_breaker_sequence, find_f_sequences,
-                             induced_circle_map, kronecker_solve,
+                             induced_circle_map, interleaved_sequences,
+                             kronecker_solve, presented_limits,
                              probe_exponent, scan_almost_periods)
 from apexp.scenarios import _dyadic_bsequence, example1_map, spiral_orbit
-from apexp.solenoid import SolenoidSystem, pi_solenoid
+from apexp.solenoid import (SolenoidSystem, pi_solenoid,
+                            semiconjugacy_to_solenoid)
 
 THETA = math.sqrt(2.0) / 2.0
 
@@ -61,9 +65,13 @@ class TestFindFSequences:
         assert find_f_sequences(orbit, target=[-3.0], t_max=30.0,
                                 grid=0.1) == []
 
-    def test_unbounded_flag(self):
-        assert FSequence(np.array([5.0, 200.0]), [0.0], [0, 0]).unbounded
-        assert not FSequence(np.array([5.0, 20.0]), [0.0], [0, 0]).unbounded
+    def test_interleaved_sequences_drop_empty_ones(self):
+        times, profile = np.arange(5.0), np.arange(5.0) / 10
+        seqs = interleaved_sequences(times, [0.0], profile, 7)
+        assert [s.times.tolist() for s in seqs] == [[t] for t in range(5)]
+        assert [s.cauchy_profile.tolist() for s in seqs] == \
+            [[t / 10] for t in range(5)]
+        assert interleaved_sequences(times[:0], [0.0], profile[:0], 2) == []
 
 
 def scalar_refine(orbit, target, lo, hi, iters):
@@ -482,7 +490,7 @@ class TestBreakerSequences:
                                     two_targets=(0.0, 0.5), count=16,
                                     search_bound=1e5)
         assert br is not None
-        assert br.verify_cauchy(orbit) <= 1e-9
+        assert orbit.spread(br.times[-8:]) <= 1e-9
         rep = probe_exponent(orbit, 0.5, [br])
         assert rep.verdict == "REJECTED"
         assert rep.rejection_gap >= 0.45
@@ -505,7 +513,7 @@ class TestBreakerSequences:
 
     def test_non_convergent_times_raise(self):
         slow = circle_orbit(speed=1.0 / 3.0)
-        with pytest.raises(NonConvergentError):
+        with pytest.raises(NonConvergentError, match="not an f-sequence"):
             build_breaker_sequence(slow, 0.5, frequencies=[1.0],
                                    fixed_targets=[0.0],
                                    two_targets=(0.0, 0.5), count=12,
@@ -540,8 +548,130 @@ class TestInducedCircleMap:
     def test_divergent_trace_raises(self):
         orbit = circle_orbit()
         p1 = FSequence(np.arange(1, 13) * 10.0, [0.0], np.zeros(12))
-        with pytest.raises(NonConvergentError):
+        with pytest.raises(NonConvergentError, match="trace: tail spread"):
             induced_circle_map(orbit, 1.0 / 3.0, [p1])
+
+
+def oracle_presented_limits(omega, times, freqs, tol_orbit, tol_limit, tail):
+    """Pure-Python presented_limits on the torus line t -> frac(omega t):
+    the largest pairwise distance of the last `tail` orbit points, then
+    per frequency the sorted-gap spread and the exp(2 pi i v) circular
+    mean of its trace.  Returns ("orbit",), ("trace", name) or
+    ("limits", values), and every spread it compared with a tolerance."""
+
+    def d1(a, b):
+        d = (a - b) % 1.0
+        return min(d, 1.0 - d)
+
+    last = [float(t) for t in times[-tail:]]
+    pts = [[(w * t) % 1.0 for w in omega] for t in last]
+    spread = max(max(d1(a, b) for a, b in zip(p, q)) for p in pts for q in pts)
+    spreads = [(spread, tol_orbit)]
+    if spread > tol_orbit:
+        return ("orbit",), spreads
+    values = []
+    for name, v in freqs.items():
+        trace = sorted((v * t) % 1.0 for t in last)
+        gaps = [b - a for a, b in zip(trace, trace[1:])]
+        gaps.append(trace[0] + 1.0 - trace[-1])
+        spread = 1.0 - max(gaps) if len(trace) > 1 else 0.0
+        spreads.append((spread, tol_limit))
+        if spread > tol_limit:
+            return ("trace", name), spreads
+        z = sum(cmath.exp(2j * math.pi * x) for x in trace) / len(trace)
+        values.append((cmath.phase(z) / (2 * math.pi)) % 1.0)
+    return ("limits", values), spreads
+
+
+class TestPresentedLimits:
+    @settings(max_examples=200, deadline=None)
+    @given(omega=st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+           x0=st.floats(-50.0, 50.0),
+           gaps=st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=20),
+           noise=st.lists(st.floats(-1.0, 1.0), min_size=20, max_size=20),
+           width=st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 1e-2, 0.3]),
+           freqs=st.lists(st.one_of(st.integers(-6, 6),
+                                    st.floats(-6.0, 6.0)), max_size=4),
+           tol_orbit=st.sampled_from([1e-6, 1e-3, 0.05]),
+           tol_limit=st.sampled_from([1e-6, 1e-3, 0.05, 0.3]),
+           tail=st.integers(1, 12))
+    def test_matches_pure_python_oracle(self, omega, x0, gaps, noise, width,
+                                        freqs, tol_orbit, tol_limit, tail):
+        # integer returns x0 + k_i, moved by up to `width`: an f-sequence
+        # of the torus line when width is small against tol_orbit
+        times = x0 + np.cumsum(gaps) + width * np.array(noise[:len(gaps)])
+        freqs = {f"f{k}": float(v) for k, v in enumerate(freqs)}
+        want, spreads = oracle_presented_limits(
+            [float(w) for w in omega], times, freqs, tol_orbit, tol_limit, tail)
+        # rounding decides a spread this close to its tolerance
+        assume(all(abs(s - tol) > 1e-12 for s, tol in spreads))
+        event(want[0])
+        orbit = torus_orbit(omega)
+        kw = dict(tol_orbit=tol_orbit, tol_limit=tol_limit, tail=tail)
+        if want[0] == "orbit":
+            with pytest.raises(NonConvergentError, match="not an f-sequence"):
+                presented_limits(orbit, times, freqs, **kw)
+        elif want[0] == "trace":
+            with pytest.raises(NonConvergentError,
+                               match=f"^{want[1]}: tail spread"):
+                presented_limits(orbit, times, freqs, **kw)
+        else:
+            got = presented_limits(orbit, times, freqs, **kw)
+            assert len(got) == len(want[1])
+            for g, w in zip(got, want[1]):
+                assert circle_dist(g, w) <= 1e-12
+
+    def test_one_trace_limit_per_frequency(self, monkeypatch):
+        seen = []
+        real = exponents.trace_limit
+
+        def spy(val, times, tol_limit, tail, what):
+            seen.append(what)
+            return real(val, times, tol_limit, tail, what)
+
+        monkeypatch.setattr(exponents, "trace_limit", spy)
+        got = presented_limits(circle_orbit(), np.arange(1.0, 13.0),
+                               {"a": 2.0, "b": 0.25, "c": 3.0},
+                               tol_orbit=1e-9, tol_limit=1.0, tail=8)
+        assert seen == ["a", "b", "c"]
+        assert got == [real(v, np.arange(1.0, 13.0), 1.0, 8, "")
+                       for v in (2.0, 0.25, 3.0)]
+
+
+# Each caller of presented_limits at its default tolerances, on times
+# that are no f-sequence of the orbit (frac(t) at the half integers, and
+# frac(t / 3) at the integers a breaker for 1/2 returns), with the
+# tol_orbit and tail it keeps.
+NOT_F_SEQUENCE = {
+    "induced_circle_map": (lambda: induced_circle_map(
+        circle_orbit(), 2.0,
+        [FSequence(np.arange(1, 13) * 0.5, [0.0], np.zeros(12))]),
+        exponents.TOL_ORBIT, 10),
+    "semiconjugacy_to_solenoid": (lambda: semiconjugacy_to_solenoid(
+        circle_orbit(), _dyadic_bsequence(3), np.arange(1, 13) * 0.5),
+        exponents.TOL_ORBIT, 8),
+    "build_breaker_sequence": (lambda: build_breaker_sequence(
+        circle_orbit(speed=1.0 / 3.0), 0.5, frequencies=[1.0],
+        fixed_targets=[0.0], two_targets=(0.0, 0.5), count=12,
+        search_bound=1e5), exponents.CAUCHY_TOL, 8),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(NOT_F_SEQUENCE))
+def test_each_caller_takes_the_one_path(caller, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((kwargs["tol_orbit"], kwargs["tail"]))
+        return presented_limits(*args, **kwargs)
+
+    monkeypatch.setattr(exponents, "presented_limits", spy)
+    monkeypatch.setattr(solenoid, "presented_limits", spy)
+    call, tol_orbit, tail = NOT_F_SEQUENCE[caller]
+    with pytest.raises(NonConvergentError,
+                       match="^times are not an f-sequence: orbit tail spread"):
+        call()
+    assert calls == [(tol_orbit, tail)]
 
 
 def test_spread_helper_consistency():

@@ -1,7 +1,9 @@
-"""Every name a module under apexp imports is used by that module, and
-importing apexp after numpy loads only a few small standard modules."""
+"""Every name a module under apexp imports is used by that module, every
+name an __all__ lists resolves, and importing apexp after numpy loads
+only a few small standard modules."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -45,6 +47,15 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "name", ["apexp"] + [f"apexp.{p.stem}" for p in MODULES])
+def test_all_entries_resolve(name):
+    module = importlib.import_module(name)
+    listed = getattr(module, "__all__", [])
+    assert len(listed) == len(set(listed))
+    assert [n for n in listed if not hasattr(module, n)] == []
 
 
 # top-level modules that `import apexp` may add to a process that has
