@@ -87,6 +87,18 @@ def _t_grid(arg: str) -> np.ndarray:
             f"expected a:b:n with a whole n >= 0, got {arg!r}") from None
 
 
+def _epsilon(arg: str) -> float:
+    """The argparse type of --eps: a positive finite float."""
+    try:
+        eps = float(arg)
+    except ValueError:
+        eps = math.nan
+    if not 0.0 < eps < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive finite number, got {arg!r}")
+    return eps
+
+
 def _add_t_grid(parser):
     parser.add_argument("--t-grid", required=True, metavar="a:b:n",
                         type=_t_grid, help="n evenly spaced times from a to "
@@ -211,9 +223,14 @@ def _cmd_exponents_probe(args):
     for cand in candidates:
         _, val = parse_real_token(str(cand))
         rep = probe_exponent(orbit, val, seqs)
-        reports.append({"candidate": cand, "verdict": rep.verdict,
-                        "max_tail_spread": rep.max_tail_spread,
-                        "notes": rep.notes})
+        out = {"candidate": cand, "verdict": rep.verdict,
+               "max_tail_spread": rep.max_tail_spread, "notes": rep.notes}
+        if rep.verdict == "REJECTED":
+            out.update(rejection_gap=rep.rejection_gap,
+                       rejection_orbit_spread=rep.rejection_orbit_spread,
+                       rejection_clusters=rep.rejection_clusters,
+                       rejection_times=rep.rejection_times.tolist())
+        reports.append(out)
     _dump_json(reports, args.report)
     return 0
 
@@ -327,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     ks = ksub.add_parser("solve")
     ks.add_argument("--freqs", required=True, help="comma list, e.g. 1,sqrt2")
     ks.add_argument("--targets", required=True, help="comma list of rationals")
-    ks.add_argument("--eps", type=float, required=True)
+    ks.add_argument("--eps", type=_epsilon, required=True)
     ks.add_argument("--bound", type=float, default=1e6)
     ks.set_defaults(func=_cmd_kronecker_solve)
 

@@ -328,6 +328,14 @@ class KroneckerQuery:
         return np.array([_freq_value(f) for f in self.frequencies])
 
     def validate(self, tol: float = 1e-9):
+        """Raise ValueError unless epsilon is a positive finite number and
+        some frequency is nonzero, and IncompatibleTargetsError unless the
+        targets satisfy every relation within tol."""
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(
+                f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if not any(map(_freq_value, self.frequencies)):
+            raise ValueError("at least one frequency must be nonzero")
         for rel in self.relations:
             resid = sum(l * x for l, x in zip(rel, self.targets))
             if circle_dist(resid, 0.0) > tol:
@@ -339,14 +347,20 @@ def kronecker_solve(query: KroneckerQuery):
     """Scan for a solution time; None when the bound is exhausted.
 
     When some frequency equals 1 the scan runs over t = n + lift(target)
-    for integers n (exact in that coordinate); otherwise a uniform grid
-    of resolution epsilon / (4 max |freq|) is scanned.  Both scans stop
-    at the last point not past search_bound.  Every returned t is
-    rechecked exactly against the requested epsilon.  A float hit
-    that fails the recheck is skipped and the scan goes on from the next
-    integer, or on the grid path from t + step; a kernel that returns a
-    point before its range, or a t that t + step does not pass, raises
-    VerificationError.
+    for integers n (exact in that coordinate), testing every n.
+    Otherwise the scan runs over a uniform grid of resolution
+    epsilon / (4 max |freq|), on which the fastest coordinate moves
+    epsilon/4 per point and can pass only in runs of about 8 points
+    per revolution.  kron_scan_grid tests just those runs, each widened
+    by a bound on its float error, so it costs about 2*epsilon*n of the
+    grid's n points and returns the first hit of a scan of every point.
+    Both scans stop at the last point not past search_bound.  Every
+    returned t is rechecked exactly against the requested epsilon.  A
+    float hit that fails the recheck is skipped and the scan goes on
+    from the next integer, or on the grid path from t + step; a kernel
+    that returns a point before its range, or a t that t + step does
+    not pass, raises VerificationError.  An epsilon that is not positive
+    and finite, or frequencies that are all zero, raise ValueError.
     """
     query.validate()
     vals = query.values()

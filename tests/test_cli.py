@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from apexp.circmath import circle_dist
 from apexp.cli import main, parse_real_token
+from apexp.exponents import GAP_MIN
 from apexp.groups import FinGenSubgroup, build_b_sequence
 from apexp.realfield import SymbolBasis
 from apexp.scenarios import run_scenario
@@ -233,6 +235,30 @@ def test_exponents_probe(tmp_path, capsys):
     assert [r["verdict"] for r in out] == ["ACCEPTED", "ACCEPTED"]
 
 
+def test_exponents_probe_shows_rejection_evidence(tmp_path):
+    # 1/2 is rejected on the denjoy suspension by a return sequence whose
+    # trace splits into two clusters; the report carries that evidence
+    spec = {"kind": "denjoy-suspension", "theta": math.sqrt(2) / 2}
+    report = tmp_path / "report.json"
+    assert main(["exponents", "probe",
+                 "--orbit", write(tmp_path, "orbit.json", spec),
+                 "--candidates", write(tmp_path, "cands.json", [1, "1/2"]),
+                 "--report", str(report)]) == 0
+    accepted, rejected = json.loads(report.read_text())
+    assert accepted["verdict"] == "ACCEPTED"
+    assert not any(key.startswith("rejection_") for key in accepted)
+    assert rejected["verdict"] == "REJECTED"
+    times = rejected["rejection_times"]
+    assert isinstance(times, list) and len(times) >= 4
+    c1, c2 = rejected["rejection_clusters"]
+    assert rejected["rejection_gap"] == pytest.approx(circle_dist(c1, c2))
+    assert rejected["rejection_gap"] >= GAP_MIN
+    assert 0.0 <= rejected["rejection_orbit_spread"] < 1e-3
+    # the times reproduce the oscillating trace of 1/2
+    trace = [(0.5 * t) % 1.0 for t in times[-10:]]
+    assert all(min(circle_dist(y, c1), circle_dist(y, c2)) < 0.1 for y in trace)
+
+
 @pytest.mark.parametrize("spec,cands,expectations", [
     ({"kind": "spiral", "alpha": math.sqrt(2), "beta": math.sqrt(3)},
      ["sqrt2"], ["forward probe accepts alpha"]),
@@ -280,6 +306,31 @@ def test_kronecker_solve(capsys):
                  "--bound", "100000"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert all(r < 0.01 for r in out["residuals"])
+
+
+@pytest.mark.parametrize("eps,bound,t", [
+    ("1e-4", "2000", 1171.0394932622912),
+    ("1e-5", "2e5", 1171.0395452238154),
+])
+def test_kronecker_solve_two_free_frequencies(capsys, eps, bound, t):
+    # no unit frequency, so the grid path runs; these are the bits of a
+    # scan of every grid point
+    assert main(["kronecker", "solve", "--freqs", "sqrt2,sqrt3",
+                 "--targets", "1/10,3/10", "--eps", eps, "--bound", bound]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["t"] == t
+    assert all(r < float(eps) for r in out["residuals"])
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.1", "nan", "inf", "x"])
+def test_kronecker_bad_eps_is_a_usage_error(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["kronecker", "solve", "--freqs", "sqrt2", "--targets", "1/2",
+              f"--eps={eps}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument --eps: expected a positive finite number, got {eps!r}" in err
 
 
 def test_kronecker_not_found(capsys):

@@ -455,6 +455,31 @@ class TestKroneckerSolve:
         with pytest.raises(VerificationError, match="does not advance"):
             kronecker_solve(q)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.0, -0.1, math.nan, math.inf])
+    def test_degenerate_epsilon_is_rejected(self, eps):
+        # before validation, 0 overflowed in the grid length, -0.1 gave
+        # NOT_FOUND and NaN failed to convert to an integer
+        for freqs in ([THETA, math.sqrt(3.0)], [1.0, THETA]):
+            q = KroneckerQuery(frequencies=freqs, targets=[0.1, 0.2],
+                               epsilon=eps, search_bound=1e4)
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                q.validate()
+            with pytest.raises(ValueError, match="epsilon must be positive"):
+                kronecker_solve(q)
+
+    @pytest.mark.parametrize("freqs", [[], [0.0], [0.0, -0.0]])
+    def test_all_zero_frequencies_are_rejected(self, freqs):
+        q = KroneckerQuery(frequencies=freqs, targets=[0.0] * len(freqs),
+                           epsilon=0.01, search_bound=1e4)
+        with pytest.raises(ValueError, match="one frequency must be nonzero"):
+            kronecker_solve(q)
+        # a zero frequency next to a nonzero one is a valid query
+        q = KroneckerQuery(frequencies=freqs + [THETA],
+                           targets=[0.0] * len(freqs) + [0.5],
+                           epsilon=0.01, search_bound=1e4)
+        t = kronecker_solve(q)
+        assert t is not None and circle_dist(THETA * t, 0.5) < 0.01
+
     def test_negate_time(self):
         q = KroneckerQuery(frequencies=[THETA], targets=[0.3], epsilon=0.01,
                            search_bound=1e4, t_min=1.0, negate_time=True)

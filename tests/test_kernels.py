@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from apexp.circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                             circle_dist, circular_gaps, dist, frac)
-from apexp.kernels import (BLOCK, FIRST_CHUNK, _chunks, almost_period_sup,
+from apexp import kernels
+from apexp.kernels import (BLOCK, FIRST_CHUNK, _chunks, _scan, almost_period_sup,
                            kron_scan_grid, kron_scan_integer)
 
 # ---------------------------------------------------------------------------
@@ -288,17 +289,23 @@ class TestChunkSchedule:
         assert math.isnan(kron_scan_grid([1.0], [0.5], 0.25, 0.0, t1, 1.0))
         assert math.isnan(oracle_scan_grid([1.0], [0.5], 0.25, 0.0, t1, 1.0))
 
-    @pytest.mark.parametrize("path", ["integer", "grid"])
+    @pytest.mark.parametrize("path", ["integer", "grid", "runs"])
     def test_long_miss_stays_small(self, path):
         # a 3e6-point miss keeps its scratch arrays to one block: the
-        # traced peak stays far below one array of the whole range (24 MB)
+        # traced peak stays far below one array of the whole range (24 MB);
+        # the runs of a 3e7-point grid miss hold 1e5 points in all
         vals, targs, eps = [math.sqrt(2.0), math.sqrt(3.0)], [0.1, 0.2], 1e-9
         tracemalloc.start()
         try:
             if path == "integer":
                 got = kron_scan_integer(vals, targs, eps, 0.5, 0, 3 * 10 ** 6)
-            else:
+            elif path == "grid":
                 got = kron_scan_grid(vals, targs, eps, 0.0, 3e3, 1e-3)
+            else:  # frac(v*t) near 0 puts frac(2*v*t) near 0, never near 0.5
+                v, eps = math.sqrt(2.0), 1e-3
+                step = eps / (8 * v)
+                got = kron_scan_grid([v, 2 * v], [0.0, 0.5], eps, 0.0,
+                                     3e7 * step, step)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -344,6 +351,191 @@ def test_scans_match_oracles_across_blocks(query):
     got = scan(vals, targs, eps, *args)
     ref = oracle(vals, targs, eps, *args)
     assert same(got, ref), (vals, targs, eps, args)
+
+
+# ---------------------------------------------------------------------------
+# the grid scan tests only runs of points; a test of every point is its oracle
+
+
+def dense_scan_grid(vals, targs, eps, t0, t1, step):
+    """kron_scan_grid's range and times, every point tested by the block
+    scan _scan."""
+    n = math.floor((t1 - t0) / step) + 1
+    while n > 0 and t0 + (n - 1) * step > t1:
+        n -= 1
+
+    def to_time(ts):
+        np.multiply(ts, step, out=ts)
+        np.add(t0, ts, out=ts)
+
+    return _scan(vals, targs, eps, 0, n, to_time)
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """(first, n) of every call of the block scan _scan."""
+    calls = []
+
+    def recording_scan(vals, targs, eps, first, n, to_time):
+        calls.append((first, n))
+        return _scan(vals, targs, eps, first, n, to_time)
+
+    monkeypatch.setattr(kernels, "_scan", recording_scan)
+    return calls
+
+
+@pytest.fixture
+def tested_points(monkeypatch):
+    """How many points the scans pass through the survivor filter."""
+    count = [0]
+    first_pass = kernels._first_pass
+
+    def counting(vals, targs, eps, t, d, e):
+        count[0] += t.size
+        return first_pass(vals, targs, eps, t, d, e)
+
+    monkeypatch.setattr(kernels, "_first_pass", counting)
+    return count
+
+
+# v = 3/4, step = 2**-12 and |t| < 1 keep every t, v*t - x and its
+# reduction mod 1 exact, so a point at distance eps * (1 -+ 2**-40) passes
+# or fails exactly; 5000 points make 0.92 of a revolution, so one run
+EDGE_V, EDGE_EPS, EDGE_STEP, EDGE_T0, EDGE_N = 0.75, 3 * 2.0 ** -12, 2.0 ** -12, -0.5, 5000
+
+
+def edge_target(v, point, eps, scale):
+    """The target whose run, on v's grid, opens at point: there v*t - x
+    is -eps*scale, moving toward 0 as t grows."""
+    return ((v * point) % 1.0 + math.copysign(eps * scale, v)) % 1.0
+
+
+class TestGridRuns:
+    """The runs of kron_scan_grid against a test of every grid point."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", [0, 1, 2047, 4990, EDGE_N - 1])
+    def test_hit_at_the_edge_of_a_run(self, scan_calls, sign, k):
+        v, eps, step, t0 = sign * EDGE_V, EDGE_EPS, EDGE_STEP, EDGE_T0
+        t1 = t0 + (EDGE_N - 1) * step
+        point = t0 + k * step
+        # the point opens its run when scale < 1, and the next one when not
+        for scale, first in ((1 - 2.0 ** -40, point), (1 + 2.0 ** -40, point + step)):
+            args = ([v], [edge_target(v, point, eps, scale)], eps, t0, t1, step)
+            want = first if first <= t1 else math.nan
+            assert same(kron_scan_grid(*args), want)
+            assert same(dense_scan_grid(*args), want)
+        assert scan_calls == []  # the runs path, not the test of every point
+
+    @pytest.mark.parametrize("scale", [1 - 2.0 ** -40, 1 + 2.0 ** -40])
+    @pytest.mark.parametrize("t0", [-9.3e6, -1234.5, 0.0, 77.25, 4.1e6])
+    def test_edge_within_rounding(self, scale, t0):
+        # at |t| up to 1e7 rounding exceeds eps * 2**-40, so whether the edge
+        # point passes is decided by the float formula, padded in the runs
+        v = [-math.sqrt(2.0), math.sqrt(3.0) / 3]
+        eps = 1e-4
+        step = eps / (4 * math.sqrt(2.0))
+        for k in (0, 3, 977, 20_000):
+            point = t0 + k * step
+            targs = [edge_target(v[0], point, eps, scale), (v[1] * point) % 1.0]
+            args = (v, targs, eps, t0, t0 + 50_000 * step, step)
+            got = kron_scan_grid(*args)
+            assert same(got, dense_scan_grid(*args))
+            assert point - 2 * step <= got <= point + 2 * step
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_end_cuts_a_run(self, sign):
+        v, eps, step, t0 = sign * EDGE_V, EDGE_EPS, EDGE_STEP, EDGE_T0
+        t1 = t0 + (EDGE_N - 1) * step
+        for end, want in ((t1, t1), (t1 + step / 2, t1)):
+            # the run opens on the last grid point ...
+            args = ([v], [edge_target(v, t1, eps, 1 - 2.0 ** -40)], eps, t0, end, step)
+            assert kron_scan_grid(*args) == dense_scan_grid(*args) == want
+            # ... or one point past it, so there is no hit
+            args = ([v], [edge_target(v, t1 + step, eps, 1 - 2.0 ** -40)],
+                    eps, t0, end, step)
+            assert math.isnan(kron_scan_grid(*args))
+            assert math.isnan(dense_scan_grid(*args))
+
+    def test_range_shorter_than_a_run(self):
+        v, eps, step, t0 = EDGE_V, EDGE_EPS, EDGE_STEP, EDGE_T0
+        for n in (1, 2, 3):
+            t1 = t0 + (n - 1) * step
+            for k in range(-10, n + 3):
+                targ = edge_target(v, t0 + k * step, eps, 1 - 2.0 ** -40)
+                args = ([v], [targ], eps, t0, t1, step)
+                got = kron_scan_grid(*args)
+                assert same(got, dense_scan_grid(*args))
+                # v*t - x moves alpha = eps/4 per point, so the run is 8 points
+                assert same(got, t0 + max(k, 0) * step if -8 < k < n else math.nan)
+
+    def test_fast_coordinate_scans_every_point(self, scan_calls):
+        # alpha = v*step above eps/2 leaves runs under 4 points: every
+        # point is tested instead; at eps/2 exactly the runs still serve
+        v, eps, t0 = math.sqrt(2.0), 1e-3, 5.0
+        for step, dense in ((eps / (2 * v), False), (0.51 * eps / v, True),
+                            (eps / v, True), (1.0, True)):
+            scan_calls.clear()
+            targs = [(v * (t0 + 300 * step)) % 1.0]
+            args = ([v], targs, eps, t0, t0 + 1000 * step, step)
+            got = kron_scan_grid(*args)
+            assert got == dense_scan_grid(*args) <= t0 + 300 * step
+            assert [first for first, _ in scan_calls] == ([0] if dense else [])
+
+    def test_runs_wider_than_a_block(self, scan_calls):
+        # at eps = 1e-12 and |t| near 5e6 rounding moves v*t by far more
+        # than eps, so each run is padded past a block and scanned in blocks
+        v, eps = [math.sqrt(3.0), -math.sqrt(2.0)], 1e-12
+        step = eps / (4 * math.sqrt(3.0))
+        t0, n = 5e6, 2_000_000
+        for k in (0, 123_456, n - 1):
+            scan_calls.clear()
+            point = t0 + k * step
+            targs = [(x * point) % 1.0 for x in v]
+            args = (v, targs, eps, t0, t0 + (n - 1) * step, step)
+            assert kron_scan_grid(*args) == dense_scan_grid(*args) <= point
+            assert scan_calls and all(0 < m < n for _, m in scan_calls)
+            assert max(m for _, m in scan_calls) > BLOCK
+
+    def test_runs_test_few_points(self, tested_points):
+        # a miss over 4e6 grid points tests about 3.3 eps n of them: runs
+        # of 8 points, padded by 2 on each side, plus 1, per revolution
+        v, eps = [math.sqrt(2.0), 2 * math.sqrt(2.0)], 1e-3
+        step = eps / (4 * 2 * math.sqrt(2.0))
+        n = 4 * 10 ** 6
+        # frac(v*t) near 0 puts frac(2*v*t) near 0, never near 0.5
+        args = (v, [0.0, 0.5], eps, 0.0, (n - 1) * step, step)
+        assert math.isnan(kron_scan_grid(*args))
+        assert 2 * eps * n < tested_points[0] < 4 * eps * n
+
+
+@st.composite
+def grid_queries(draw):
+    """kronecker_solve's grid: step eps / (4 max |v|), 1-3 coordinates of
+    either sign, |t0| up to 1e7, and targets often planted near a point."""
+    d = draw(st.integers(1, 3))
+    roots = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13])
+    vals = [math.sqrt(draw(roots)) * draw(st.sampled_from([-1, 1]))
+            / draw(st.integers(1, 4)) for _ in range(d)]
+    # about 2 eps of the revolutions pass each later coordinate by chance
+    eps = 10 ** draw(st.floats(-6.0 if d == 1 else -3.0, -0.7))
+    step = eps / (4 * max(abs(v) for v in vals))
+    t0 = draw(st.one_of(st.floats(-1e7, 1e7), st.floats(-100.0, 100.0)))
+    n = draw(st.integers(1, 200_000))
+    t1 = t0 + (n - 1) * step + draw(st.floats(0.0, 0.999)) * step
+    if draw(st.booleans()):
+        point = t0 + draw(st.integers(0, n - 1)) * step
+        shift = draw(st.sampled_from([0.0, 1.0, -1.0, 1 - 2.0 ** -40, 0.5]))
+        targs = [(v * point + shift * eps) % 1.0 for v in vals]
+    else:
+        targs = [draw(st.floats(0.0, 1.0)) for _ in vals]
+    return vals, targs, eps, t0, t1, step
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_queries())
+def test_grid_runs_match_dense_scan(query):
+    assert same(kron_scan_grid(*query), dense_scan_grid(*query)), query
 
 
 @pytest.mark.parametrize("kind,d", [(METRIC_EUCLIDEAN, 1), (METRIC_EUCLIDEAN, 3),
