@@ -6,7 +6,7 @@ numeric exponent probes driven by simultaneous-approximation searches.
 
 from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                        circle_dist, frac)
-from .exponents import (FSequence, KroneckerQuery, OrbitEvaluator,
+from .exponents import (KroneckerQuery, OrbitEvaluator,
                         build_breaker_sequence, find_f_sequences,
                         induced_circle_map, kronecker_solve, probe_exponent,
                         scan_almost_periods)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "METRIC_CYLINDER", "METRIC_EUCLIDEAN", "METRIC_TORUS",
     "circle_dist", "frac",
-    "FSequence", "KroneckerQuery", "OrbitEvaluator",
+    "KroneckerQuery", "OrbitEvaluator",
     "build_breaker_sequence", "find_f_sequences", "induced_circle_map",
     "kronecker_solve", "probe_exponent", "scan_almost_periods",
     "BSequence", "FinGenSubgroup", "build_b_sequence", "decide_equivalence",

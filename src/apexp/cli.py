@@ -48,9 +48,12 @@ def parse_real_token(token: str):
     """Parse 'sqrt2/2', '3/4', 'pi', '0.25' into (name or None, value).
 
     Named irrationals return a symbol name plus value; plain rationals
-    and floats return (None, value).
+    and floats return (None, value).  Raises ValueError on a token it
+    cannot read or whose denominator is zero.
     """
     head, _, denom = token.partition("/")
+    if denom and float(denom) == 0.0:
+        raise ValueError(f"zero denominator in {token!r}")
     scale = 1.0 / float(denom) if denom else 1.0
     if head in _NAMED_REALS:
         return token, _NAMED_REALS[head] * scale
@@ -87,16 +90,24 @@ def _t_grid(arg: str) -> np.ndarray:
             f"expected a:b:n with a whole n >= 0, got {arg!r}") from None
 
 
-def _epsilon(arg: str) -> float:
-    """The argparse type of --eps: a positive finite float."""
-    try:
-        eps = float(arg)
-    except ValueError:
-        eps = math.nan
-    if not 0.0 < eps < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive finite number, got {arg!r}")
-    return eps
+def _checked(parse, ok, expected: str):
+    """An argparse type: `parse` reads the argument, and one it cannot
+    read, or whose value fails `ok`, is a usage error naming `expected`."""
+
+    def convert(arg: str):
+        try:
+            value = parse(arg)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {arg!r}")
+        return value
+
+    return convert
+
+
+def _all_finite(values) -> bool:
+    return all(map(math.isfinite, values))
 
 
 def _add_t_grid(parser):
@@ -236,9 +247,7 @@ def _cmd_exponents_probe(args):
 
 
 def _cmd_kronecker_solve(args):
-    freqs = [parse_real_token(t)[1] for t in args.freqs.split(",")]
-    targets = [float(Fraction(t)) for t in args.targets.split(",")]
-    query = KroneckerQuery(frequencies=freqs, targets=targets,
+    query = KroneckerQuery(frequencies=args.freqs, targets=args.targets,
                            epsilon=args.eps, search_bound=args.bound)
     t = kronecker_solve(query)
     if t is None:
@@ -247,7 +256,7 @@ def _cmd_kronecker_solve(args):
     from .circmath import circle_dist
     _dump_json({"t": t,
                 "residuals": [circle_dist(f * t, x) for f, x in
-                              zip(freqs, targets)]})
+                              zip(args.freqs, args.targets)]})
     return 0
 
 
@@ -342,10 +351,18 @@ def build_parser() -> argparse.ArgumentParser:
     kr = sub.add_parser("kronecker", help="simultaneous approximation")
     ksub = kr.add_subparsers(dest="sub", required=True)
     ks = ksub.add_parser("solve")
-    ks.add_argument("--freqs", required=True, help="comma list, e.g. 1,sqrt2")
-    ks.add_argument("--targets", required=True, help="comma list of rationals")
-    ks.add_argument("--eps", type=_epsilon, required=True)
-    ks.add_argument("--bound", type=float, default=1e6)
+    ks.add_argument("--freqs", required=True, help="comma list, e.g. 1,sqrt2",
+                    type=_checked(
+                        lambda a: [parse_real_token(t)[1] for t in a.split(",")],
+                        _all_finite, "a comma list of finite reals like 1,sqrt2/2"))
+    ks.add_argument("--targets", required=True, help="comma list of rationals",
+                    type=_checked(
+                        lambda a: [float(Fraction(t)) for t in a.split(",")],
+                        _all_finite, "a comma list of rationals like 0,1/4"))
+    ks.add_argument("--eps", required=True, type=_checked(
+        float, lambda x: 0.0 < x < math.inf, "a positive finite number"))
+    ks.add_argument("--bound", default=1e6,
+                    type=_checked(float, math.isfinite, "a finite number"))
     ks.set_defaults(func=_cmd_kronecker_solve)
 
     lab = sub.add_parser("lab", help="scenario harness")
@@ -353,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     ll = lsub.add_parser("list")
     ll.set_defaults(func=_cmd_lab_list)
     lr = lsub.add_parser("run")
-    lr.add_argument("scenario")
+    lr.add_argument("scenario", choices=sorted(SCENARIOS))
     lr.add_argument("--params", help="JSON parameter overrides")
     lr.add_argument("--out", help="write the report JSON here")
     lr.set_defaults(func=_cmd_lab_run)

@@ -23,7 +23,6 @@ from .realfield import RealVector
 
 __all__ = [
     "OrbitEvaluator",
-    "FSequence",
     "ExponentProbeReport",
     "AlmostPeriodReport",
     "KroneckerQuery",
@@ -44,6 +43,7 @@ TOL_LIMIT = 1e-3
 GAP_MIN = 0.1
 LATE_MIN = 2  # trace values among the last `tail` each cluster needs to reject
 CAUCHY_TOL = 0.05
+BREAKER_GAP = 1.0  # least spacing of consecutive breaker times
 
 
 class IncompatibleTargetsError(ValueError):
@@ -111,33 +111,18 @@ class OrbitEvaluator:
         return float(dist(pts[:, None], pts[None], self.metric_kind).max())
 
 
-@dataclass
-class FSequence:
-    """Times whose orbit values converge to a target."""
-
-    times: np.ndarray
-    target: np.ndarray
-    cauchy_profile: np.ndarray  # d(f(t_i), target)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.target = np.atleast_1d(np.asarray(self.target, dtype=float))
-        self.cauchy_profile = np.asarray(self.cauchy_profile, dtype=float)
-
-
-def interleaved_sequences(times, target, profile, count: int) -> list[FSequence]:
-    """Deal return times, with their distances to the target, into
-    `count` interleaved sequences; one left empty is dropped."""
-    return [FSequence(times[j::count], target, profile[j::count])
-            for j in range(count) if times[j::count].size]
+def interleaved_sequences(times, count: int) -> list[np.ndarray]:
+    """Deal return times into `count` interleaved sequences; one left
+    empty is dropped."""
+    return [times[j::count] for j in range(min(count, len(times)))]
 
 
 def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
                      t_max: float = 1000.0, tol_orbit: float = TOL_ORBIT,
-                     grid: float = 0.01, t_min: float = 0.0) -> list[FSequence]:
+                     grid: float = 0.01, t_min: float = 0.0) -> list[np.ndarray]:
     """Grid-scan [t_min, t_max] for near-returns to the target, refine
     each local minimum of the distance, and split the accepted return
-    times into `count` interleaved sequences.
+    times, in increasing order, into `count` interleaved sequences.
 
     May return fewer than count sequences when not enough returns beat
     tol_orbit (the NONE_FOUND case, flagged by the shorter result).
@@ -154,9 +139,7 @@ def find_f_sequences(orbit: OrbitEvaluator, target, count: int = 1,
         return []
     # 60 golden-section steps shrink each bracket by 0.618**60, about 3e-13
     t, d = _refine_minima(orbit, target, ts[idx] - grid, ts[idx] + grid, 60)
-    t, d = t[d <= tol_orbit], d[d <= tol_orbit]
-    order = np.lexsort((d, t))
-    return interleaved_sequences(t[order], target, d[order], count)
+    return interleaved_sequences(np.sort(t[d <= tol_orbit]), count)
 
 
 def _refine_minima(orbit, target, lo, hi, iters):
@@ -216,15 +199,13 @@ def _two_clusters(values):
             circle_dist(c1, c2))
 
 
-def probe_exponent(orbit: OrbitEvaluator, candidate,
-                   sequences: Sequence[FSequence],
-                   breakers: Sequence[FSequence] = (),
+def probe_exponent(orbit: OrbitEvaluator, candidate, sequences: Sequence,
                    tol_limit: float = TOL_LIMIT, cauchy_tol: float = CAUCHY_TOL,
                    tail: int = 10) -> ExponentProbeReport:
     """Three-valued membership evidence for a candidate exponent.
 
     ACCEPTED: frac(candidate * t_i) has tail spread <= tol_limit on
-    every supplied sequence, and every sequence has at least `tail`
+    every sequence of times, and every sequence has at least `tail`
     times (a shorter tail is no evidence of a limit).  REJECTED: some
     sequence (typically a breaker) passes the orbit Cauchy check while
     its last 2 * tail trace values cluster at two values >= GAP_MIN
@@ -232,18 +213,18 @@ def probe_exponent(orbit: OrbitEvaluator, candidate,
     values, so the oscillation persists (a trace that settles late is no
     oscillation).  INCONCLUSIVE otherwise.
     """
-    if not sequences and not breakers:
+    if not sequences:
         raise ValueError("at least one sequence is required")
     val = _freq_value(candidate)
     worst_spread = 0.0
     inconclusive = faded = False
-    seqs = list(sequences) + list(breakers)
-    shortest = min(seq.times.size for seq in seqs)
+    seqs = [np.asarray(seq, dtype=float) for seq in sequences]
+    shortest = min(seq.size for seq in seqs)
     for seq in seqs:
-        trace = frac(val * seq.times)[-2 * tail:]
+        trace = frac(val * seq)[-2 * tail:]
         late = trace[-tail:]
         spread = circular_spread(late)
-        if spread <= tol_limit and seq.times.size >= tail:
+        if spread <= tol_limit and seq.size >= tail:
             worst_spread = max(worst_spread, spread)
             continue
         inconclusive = True
@@ -259,11 +240,11 @@ def probe_exponent(orbit: OrbitEvaluator, candidate,
         if min(first, late.size - first) < LATE_MIN:
             faded = True
             continue
-        orbit_spread = orbit.spread(seq.times[-tail:])
+        orbit_spread = orbit.spread(seq[-tail:])
         if orbit_spread <= cauchy_tol:
             return ExponentProbeReport(
                 candidate, "REJECTED",
-                rejection_times=seq.times,
+                rejection_times=seq,
                 rejection_clusters=(c1, c2),
                 rejection_gap=gap,
                 rejection_orbit_spread=orbit_spread,
@@ -328,12 +309,16 @@ class KroneckerQuery:
         return np.array([_freq_value(f) for f in self.frequencies])
 
     def validate(self, tol: float = 1e-9):
-        """Raise ValueError unless epsilon is a positive finite number and
-        some frequency is nonzero, and IncompatibleTargetsError unless the
-        targets satisfy every relation within tol."""
+        """Raise ValueError unless epsilon is a positive finite number,
+        search_bound and t_min are finite and some frequency is nonzero,
+        and IncompatibleTargetsError unless the targets satisfy every
+        relation within tol."""
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(
                 f"epsilon must be positive and finite, got {self.epsilon!r}")
+        for name, x in (("search_bound", self.search_bound), ("t_min", self.t_min)):
+            if not -np.inf < x < np.inf:
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if not any(map(_freq_value, self.frequencies)):
             raise ValueError("at least one frequency must be nonzero")
         for rel in self.relations:
@@ -360,7 +345,8 @@ def kronecker_solve(query: KroneckerQuery):
     from the next integer, or on the grid path from t + step; a kernel
     that returns a point before its range, or a t that t + step does
     not pass, raises VerificationError.  An epsilon that is not positive
-    and finite, or frequencies that are all zero, raise ValueError.
+    and finite, a search_bound or t_min that is not finite, or
+    frequencies that are all zero, raise ValueError.
     """
     query.validate()
     vals = query.values()
@@ -428,12 +414,12 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
                            relations: list[list[int]] = (),
                            search_bound: float = 1e7,
                            eps_schedule: Callable[[int], float] | None = None,
-                           min_time_gap: float = 1.0,
                            cauchy_tol: float = CAUCHY_TOL,
                            negate_time: bool = False):
     """Interleave solution times whose frequency traces converge to the
     fixed targets while the gamma trace alternates between two_targets
-    with tolerance shrinking like 1/i.
+    with tolerance shrinking like 1/i; each |t_i| exceeds the last by at
+    least BREAKER_GAP.  Returns the array of times.
 
     Returns None (NOT_FOUND) when the targets cannot oscillate: either
     they are closer than GAP_MIN (the consistency-refusal case) or a
@@ -455,7 +441,7 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
             epsilon=eps,
             search_bound=search_bound,
             relations=[list(r) for r in relations],
-            t_min=t_prev + min_time_gap,
+            t_min=t_prev + BREAKER_GAP,
             negate_time=negate_time)
         try:
             t = kronecker_solve(query)
@@ -468,22 +454,21 @@ def build_breaker_sequence(orbit: OrbitEvaluator, gamma,
     times = np.array(times)
     presented_limits(orbit, times, {}, tol_orbit=cauchy_tol,
                      tol_limit=TOL_LIMIT, tail=8)
-    pts = orbit.batch(times)
-    return FSequence(times, pts[-1], dist(pts, pts[-1], orbit.metric_kind))
+    return times
 
 
 def induced_circle_map(orbit: OrbitEvaluator, alpha,
-                       presentations: Sequence[FSequence],
+                       presentations: Sequence,
                        tol_limit: float = TOL_LIMIT,
                        tail: int = 10) -> list[float]:
-    """For each presentation {t_i} of a point, the numeric limit of
-    frac(alpha * t_i); two presentations of one point must agree within
+    """For each presentation of a point, an array of times t_i, the
+    numeric limit of frac(alpha * t_i); two presentations of one point must agree within
     2 * tol_limit (checked by the caller against each other).
 
     Raises NonConvergentError when a presentation's last `tail` orbit
     points spread more than TOL_ORBIT, so it is no f-sequence of `orbit`.
     """
     val = _freq_value(alpha)
-    return [presented_limits(orbit, seq.times, {"trace": val}, tol_orbit=TOL_ORBIT,
+    return [presented_limits(orbit, seq, {"trace": val}, tol_orbit=TOL_ORBIT,
                              tol_limit=tol_limit, tail=tail)[0]
             for seq in presentations]

@@ -20,7 +20,7 @@ import numpy as np
 from .circle import build_denjoy, rotation_bracket
 from .circmath import (METRIC_CYLINDER, METRIC_EUCLIDEAN, METRIC_TORUS,
                        circle_dist, circular_gaps, dist, frac)
-from .exponents import (FSequence, OrbitEvaluator, build_breaker_sequence,
+from .exponents import (OrbitEvaluator, build_breaker_sequence,
                         find_f_sequences, interleaved_sequences, probe_exponent)
 from .groups import build_b_sequence
 from .realfield import SymbolBasis
@@ -121,16 +121,12 @@ def example1_returns(params: dict):
     return orbit, seqs
 
 
-def _rational_breaker(q: int, p: int, count: int = 24) -> FSequence:
+def _rational_breaker(q: int, p: int, count: int = 24) -> np.ndarray:
     """Times q*i + 1/2 (odd i) and q*i + 3/2 (even i): the orbit heads
     into (0, 1/2) while frac((p/q) * t_i) alternates between p/2q and
     p/2q + p/q."""
     i = np.arange(1, count + 1)
-    times = np.where(i % 2 == 1, q * i + 0.5, q * i + 1.5)
-    target = np.array([0.0, 0.5])
-    pts = example1_map(times.astype(float))
-    profile = dist(pts, target, METRIC_EUCLIDEAN)
-    return FSequence(times.astype(float), target, profile)
+    return np.where(i % 2 == 1, q * i + 0.5, q * i + 1.5)
 
 
 def _run_example1(params: dict) -> RunReport:
@@ -160,7 +156,7 @@ def _run_example1(params: dict) -> RunReport:
 
     for p, q, min_gap in [(1, 2, 0.45), (1, 3, 0.3)]:
         breaker = _rational_breaker(q, p)
-        rep = probe_exponent(orbit, Fraction(p, q), seqs, breakers=[breaker],
+        rep = probe_exponent(orbit, Fraction(p, q), seqs + [breaker],
                              tol_limit=tol_limit)
         ok = rep.verdict == "REJECTED" and rep.rejection_gap >= min_gap
         report.check(f"candidate {p}/{q} rejected",
@@ -176,8 +172,7 @@ def _run_example1(params: dict) -> RunReport:
         two_targets=(frac(s2 / 2.0), frac(s2 / 2.0 + 1.0 / 3.0)),
         count=params["breaker_count"],
         search_bound=params["search_bound"])
-    rep = probe_exponent(orbit, sqrt2, seqs, breakers=[breaker],
-                         tol_limit=tol_limit)
+    rep = probe_exponent(orbit, sqrt2, seqs + [breaker], tol_limit=tol_limit)
     ok = rep.verdict == "REJECTED" and abs(rep.rejection_gap - 1 / 3) < 0.05
     report.check("candidate sqrt2 rejected (targets 0 and 1/3)", ok,
                  {"verdict": rep.verdict, "gap": rep.rejection_gap})
@@ -250,7 +245,7 @@ def _run_spiral(params: dict) -> RunReport:
         two_targets=(0.0, 0.5), count=params["breaker_count"],
         eps_schedule=lambda i: 0.5 / i, cauchy_tol=params["cauchy_tol"],
         search_bound=params["search_bound"])
-    rep = probe_exponent(orbit, beta, seqs, breakers=[fwd_breaker],
+    rep = probe_exponent(orbit, beta, seqs + [fwd_breaker],
                          cauchy_tol=params["cauchy_tol"])
     report.check("forward probe rejects beta", rep.verdict == "REJECTED",
                  rep.verdict)
@@ -262,11 +257,11 @@ def _run_spiral(params: dict) -> RunReport:
         two_targets=(0.0, 0.5), count=params["breaker_count"],
         eps_schedule=lambda i: 0.5 / i, cauchy_tol=params["cauchy_tol"],
         search_bound=params["search_bound"], negate_time=True)
-    rep = probe_exponent(orbit, alpha, seqs, breakers=[bwd_breaker],
+    rep = probe_exponent(orbit, alpha, seqs + [bwd_breaker],
                          cauchy_tol=params["cauchy_tol"])
     report.check("full-orbit probe rejects alpha", rep.verdict == "REJECTED",
                  rep.verdict)
-    rep = probe_exponent(orbit, beta, seqs, breakers=[fwd_breaker],
+    rep = probe_exponent(orbit, beta, seqs + [fwd_breaker],
                          cauchy_tol=params["cauchy_tol"])
     report.check("full-orbit probe rejects beta", rep.verdict == "REJECTED",
                  rep.verdict)
@@ -301,11 +296,10 @@ def _widest_gap_midpoint(points: np.ndarray) -> tuple[float, float]:
 
 
 def _integer_returns(orbit: OrbitEvaluator, base: np.ndarray, n_max: int,
-                     tol: float, count: int = 2) -> list[FSequence]:
+                     tol: float, count: int = 2) -> list[np.ndarray]:
     ns = np.arange(1, n_max + 1, dtype=float)
     dists = dist(orbit.batch(ns), base, orbit.metric_kind)
-    keep = dists <= tol
-    return interleaved_sequences(ns[keep], base, dists[keep], count)
+    return interleaved_sequences(ns[dists <= tol], count)
 
 
 def _denjoy_suspension(params: dict):
@@ -341,8 +335,8 @@ def _run_denjoy_suspension(params: dict) -> RunReport:
     report.check("base point clears the blown-up orbit", half_gap > 0.005,
                  half_gap)
     report.check("return sequences found",
-                 len(seqs) == 2 and min(len(s.times) for s in seqs) >= 4,
-                 [len(s.times) for s in seqs])
+                 len(seqs) == 2 and min(len(s) for s in seqs) >= 4,
+                 [len(s) for s in seqs])
 
     members = [("1", one), ("theta", theta), ("1+theta", one + theta),
                ("2theta-1", theta.scale(2) - one)]
@@ -369,7 +363,7 @@ def _run_denjoy_suspension(params: dict) -> RunReport:
     for name, cand, relations in non_members:
         breaker = build_breaker_sequence(
             orbit, cand, two_targets=(0.0, 0.5), relations=relations, **common)
-        rep = probe_exponent(orbit, cand, seqs, breakers=[breaker],
+        rep = probe_exponent(orbit, cand, seqs + [breaker],
                              cauchy_tol=params["cauchy_tol"],
                              tol_limit=params["tol_limit"])
         report.check(f"non-member {name} rejected",

@@ -9,7 +9,7 @@ from apexp.cli import main, parse_real_token
 from apexp.exponents import GAP_MIN
 from apexp.groups import FinGenSubgroup, build_b_sequence
 from apexp.realfield import SymbolBasis
-from apexp.scenarios import run_scenario
+from apexp.scenarios import SCENARIOS, run_scenario
 from apexp.solenoid import SolenoidSystem
 
 
@@ -25,6 +25,12 @@ def test_parse_real_token():
     assert parse_real_token("pi")[1] == pytest.approx(math.pi)
     assert parse_real_token("3/4") == (None, 0.75)
     assert parse_real_token("0.25") == (None, 0.25)
+
+
+@pytest.mark.parametrize("token", ["sqrt2/0", "1/0", "pi/0.0", "3/-0"])
+def test_parse_real_token_zero_denominator(token):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_real_token(token)
 
 
 def test_lab_list(capsys):
@@ -50,6 +56,16 @@ def test_lab_run_params_override(tmp_path):
     assert main(["lab", "run", "dyadic-solenoid", "--params", params,
                  "--out", str(out)]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["params"]["n_grid"] == 100
+
+
+def test_lab_run_unknown_scenario(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lab", "run", "nosuch"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "argument scenario: invalid choice: 'nosuch'" in err
+    assert all(repr(name) in err for name in SCENARIOS)
 
 
 def test_bseq_build(tmp_path, capsys):
@@ -331,6 +347,39 @@ def test_kronecker_bad_eps_is_a_usage_error(capsys, eps):
     err = capsys.readouterr().err
     assert "usage:" in err
     assert f"argument --eps: expected a positive finite number, got {eps!r}" in err
+
+
+@pytest.mark.parametrize("bound", ["inf", "-inf", "nan", "x", ""])
+def test_kronecker_bad_bound_is_a_usage_error(capsys, bound):
+    # inf and nan once reached the scan and failed to become integers
+    with pytest.raises(SystemExit) as exc:
+        main(["kronecker", "solve", "--freqs", "1,sqrt2", "--targets", "0,1/4",
+              "--eps", "0.01", f"--bound={bound}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument --bound: expected a finite number, got {bound!r}" in err
+
+
+@pytest.mark.parametrize("option,value,expected", [
+    ("--freqs", "1,sqrt2/0", "a comma list of finite reals like 1,sqrt2/2"),
+    ("--freqs", "1,foo", "a comma list of finite reals like 1,sqrt2/2"),
+    ("--freqs", "1,inf", "a comma list of finite reals like 1,sqrt2/2"),
+    ("--freqs", "1,", "a comma list of finite reals like 1,sqrt2/2"),
+    ("--targets", "0,1/0", "a comma list of rationals like 0,1/4"),
+    ("--targets", "0,sqrt2", "a comma list of rationals like 0,1/4"),
+    ("--targets", "0,1e400", "a comma list of rationals like 0,1/4"),
+])
+def test_kronecker_malformed_list_is_a_usage_error(capsys, option, value,
+                                                   expected):
+    argv = {"--freqs": "1,sqrt2", "--targets": "0,1/4", "--eps": "0.01"}
+    argv[option] = value
+    with pytest.raises(SystemExit) as exc:
+        main(["kronecker", "solve"] + [f"{k}={v}" for k, v in argv.items()])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert f"argument {option}: expected {expected}, got {value!r}" in err
 
 
 def test_kronecker_not_found(capsys):

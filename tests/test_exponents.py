@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 from apexp.circmath import (METRIC_EUCLIDEAN, METRIC_TORUS, circle_dist,
                             circular_spread, dist, frac)
 from apexp import exponents, solenoid
-from apexp.exponents import (FSequence, IncompatibleTargetsError,
+from apexp.exponents import (IncompatibleTargetsError,
                              KroneckerQuery, NonConvergentError,
                              OrbitEvaluator, _refine_minima,
                              build_breaker_sequence, find_f_sequences,
@@ -34,21 +34,22 @@ def torus_orbit(omega):
 
 class TestFindFSequences:
     def test_periodic_returns_at_integers(self):
-        seqs = find_f_sequences(circle_orbit(), target=[0.0], count=1,
+        orbit = circle_orbit()
+        seqs = find_f_sequences(orbit, target=[0.0], count=1,
                                 t_max=10.5, grid=0.05)
         assert len(seqs) == 1
-        times = seqs[0].times
+        times = seqs[0]
         assert len(times) >= 9
         assert np.allclose(times, np.round(times), atol=1e-6)
-        assert np.all(seqs[0].cauchy_profile <= 1e-6)
+        assert np.all(dist(orbit.batch(times), [0.0], orbit.metric_kind) <= 1e-6)
 
     def test_interleaved_split(self):
         seqs = find_f_sequences(circle_orbit(), target=[0.0], count=2,
                                 t_max=12.5, grid=0.05)
         assert len(seqs) == 2
         # consecutive returns alternate between the two sequences
-        assert np.allclose(np.diff(seqs[0].times), 2.0, atol=1e-6)
-        assert np.allclose(seqs[1].times - seqs[0].times, 1.0, atol=1e-6)
+        assert np.allclose(np.diff(seqs[0]), 2.0, atol=1e-6)
+        assert np.allclose(seqs[1] - seqs[0], 1.0, atol=1e-6)
 
     def test_rotation_returns_near_denominators(self):
         # near-returns to the start of t -> t*theta happen close to the
@@ -56,7 +57,7 @@ class TestFindFSequences:
         seqs = find_f_sequences(torus_orbit([THETA]), target=[0.0],
                                 t_max=120.0, grid=0.01, tol_orbit=5e-3,
                                 t_min=0.5)
-        hits = set(np.round(seqs[0].times).astype(int))
+        hits = set(np.round(seqs[0]).astype(int))
         assert {41, 99} <= hits
         assert 5 not in hits
 
@@ -66,12 +67,10 @@ class TestFindFSequences:
                                 grid=0.1) == []
 
     def test_interleaved_sequences_drop_empty_ones(self):
-        times, profile = np.arange(5.0), np.arange(5.0) / 10
-        seqs = interleaved_sequences(times, [0.0], profile, 7)
-        assert [s.times.tolist() for s in seqs] == [[t] for t in range(5)]
-        assert [s.cauchy_profile.tolist() for s in seqs] == \
-            [[t / 10] for t in range(5)]
-        assert interleaved_sequences(times[:0], [0.0], profile[:0], 2) == []
+        times = np.arange(5.0)
+        seqs = interleaved_sequences(times, 7)
+        assert [s.tolist() for s in seqs] == [[t] for t in range(5)]
+        assert interleaved_sequences(times[:0], 2) == []
 
 
 def scalar_refine(orbit, target, lo, hi, iters):
@@ -174,9 +173,7 @@ class TestProbeExponent:
         # a fake sequence whose orbit values spread out must not be
         # usable as rejection evidence
         orbit = circle_orbit()
-        bad = FSequence(np.arange(1, 25) * 0.5, [0.0],
-                        np.zeros(24))
-        rep = probe_exponent(orbit, 0.5, [bad])
+        rep = probe_exponent(orbit, 0.5, [np.arange(1, 25) * 0.5])
         assert rep.verdict == "INCONCLUSIVE"
 
     def test_accepted_candidates_form_a_group(self):
@@ -198,9 +195,8 @@ class TestProbeExponent:
         orbit = torus_orbit(omega)
         t = kronecker_solve(KroneckerQuery([1.0, *omega], [0.0, 0.0, 0.0], 2e-4,
                                            search_bound=3e6, t_min=1.0))
-        one = FSequence([t], [0.0, 0.0], [orbit.metric(orbit.eval(t), [0.0, 0.0])])
         for cand in (math.pi, math.sqrt(5.0), 0.5, 1.0 / 3.0):
-            rep = probe_exponent(orbit, cand, [one])
+            rep = probe_exponent(orbit, cand, [[t]])
             assert rep.verdict == "INCONCLUSIVE"
             assert "1 times, fewer than tail = 10" in rep.notes
 
@@ -232,15 +228,8 @@ class TestProbeExponent:
                                    weight * np.sin(angle)], axis=-1)
 
         orbit = OrbitEvaluator(points, METRIC_EUCLIDEAN)
-        base = orbit.eval(0.0)
-
-        def returns(times):
-            return FSequence(times, base,
-                             dist(orbit.batch(times), base, METRIC_EUCLIDEAN))
-
         n = np.arange(10, 44)
-        seqs = [returns(2.0 ** n), returns(3 * 2.0 ** n),
-                returns(4.0 ** np.arange(5, 22))]
+        seqs = [2.0 ** n, 3 * 2.0 ** n, 4.0 ** np.arange(5, 22)]
         late = probe_exponent(orbit, 2.0 ** -30, seqs)
         assert late.verdict == "INCONCLUSIVE"
         assert "fewer than 2 of the last 10 values" in late.notes
@@ -263,8 +252,7 @@ class TestProbeExponent:
         run = tail + lead
         fracs = np.array(early + [value] * run, dtype=float) / 64.0
         times = np.arange(1, fracs.size + 1) + fracs
-        seq = FSequence(times, [0.0], np.zeros(times.size))
-        rep = probe_exponent(orbit, 1.0, [seq], tol_limit=tol_limit, tail=tail)
+        rep = probe_exponent(orbit, 1.0, [times], tol_limit=tol_limit, tail=tail)
         assert rep.verdict != "REJECTED"
 
 
@@ -467,6 +455,19 @@ class TestKroneckerSolve:
             with pytest.raises(ValueError, match="epsilon must be positive"):
                 kronecker_solve(q)
 
+    @pytest.mark.parametrize("field", ["search_bound", "t_min"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_search_range_is_rejected(self, field, x):
+        # before validation, both scan paths failed to convert x to an
+        # integer, with OverflowError or ValueError
+        for freqs in ([THETA, math.sqrt(3.0)], [1.0, THETA]):
+            q = KroneckerQuery(frequencies=freqs, targets=[0.1, 0.2],
+                               epsilon=0.01, **{"search_bound": 1e4, field: x})
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                q.validate()
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):
+                kronecker_solve(q)
+
     @pytest.mark.parametrize("freqs", [[], [0.0], [0.0, -0.0]])
     def test_all_zero_frequencies_are_rejected(self, freqs):
         q = KroneckerQuery(frequencies=freqs, targets=[0.0] * len(freqs),
@@ -515,10 +516,11 @@ class TestBreakerSequences:
                                     two_targets=(0.0, 0.5), count=16,
                                     search_bound=1e5)
         assert br is not None
-        assert orbit.spread(br.times[-8:]) <= 1e-9
+        assert orbit.spread(br[-8:]) <= 1e-9
         rep = probe_exponent(orbit, 0.5, [br])
         assert rep.verdict == "REJECTED"
         assert rep.rejection_gap >= 0.45
+        assert rep.rejection_times.tolist() == br.tolist()
 
     def test_refuses_close_targets(self):
         orbit = circle_orbit()
@@ -549,15 +551,14 @@ class TestBreakerSequences:
         br = build_breaker_sequence(orbit, 0.5, frequencies=[1.0],
                                     fixed_targets=[0.0],
                                     two_targets=(0.0, 0.5), count=10,
-                                    search_bound=1e5, min_time_gap=2.0)
-        assert np.all(np.diff(br.times) >= 2.0)
+                                    search_bound=1e5)
+        assert np.all(np.diff(br) >= 1.0)
 
 
 class TestInducedCircleMap:
     def test_well_defined_on_presentations(self):
         orbit = circle_orbit()
-        p1 = FSequence(np.arange(1, 13) * 10.0, [0.0], np.zeros(12))
-        p2 = FSequence(np.arange(1, 13) * 30.0, [0.0], np.zeros(12))
+        p1, p2 = np.arange(1, 13) * 10.0, np.arange(1, 13) * 30.0
         vals = induced_circle_map(orbit, 0.1, [p1, p2], tol_limit=1e-9)
         assert circle_dist(vals[0], 0.0) < 1e-9
         assert circle_dist(vals[0], vals[1]) < 2e-9
@@ -566,13 +567,13 @@ class TestInducedCircleMap:
         # frac(2 t) settles at 0 on the half integers, but the orbit
         # points frac(t) alternate between 0 and 1/2
         orbit = circle_orbit()
-        halves = FSequence(np.arange(1, 13) * 0.5, [0.0], np.zeros(12))
+        halves = np.arange(1, 13) * 0.5
         with pytest.raises(NonConvergentError, match="not an f-sequence"):
             induced_circle_map(orbit, 2.0, [halves])
 
     def test_divergent_trace_raises(self):
         orbit = circle_orbit()
-        p1 = FSequence(np.arange(1, 13) * 10.0, [0.0], np.zeros(12))
+        p1 = np.arange(1, 13) * 10.0
         with pytest.raises(NonConvergentError, match="trace: tail spread"):
             induced_circle_map(orbit, 1.0 / 3.0, [p1])
 
@@ -669,8 +670,7 @@ class TestPresentedLimits:
 # tol_orbit and tail it keeps.
 NOT_F_SEQUENCE = {
     "induced_circle_map": (lambda: induced_circle_map(
-        circle_orbit(), 2.0,
-        [FSequence(np.arange(1, 13) * 0.5, [0.0], np.zeros(12))]),
+        circle_orbit(), 2.0, [np.arange(1, 13) * 0.5]),
         exponents.TOL_ORBIT, 10),
     "semiconjugacy_to_solenoid": (lambda: semiconjugacy_to_solenoid(
         circle_orbit(), _dyadic_bsequence(3), np.arange(1, 13) * 0.5),
