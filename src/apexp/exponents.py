@@ -462,8 +462,9 @@ def induced_circle_map(orbit: OrbitEvaluator, alpha,
                        tol_limit: float = TOL_LIMIT,
                        tail: int = 10) -> list[float]:
     """For each presentation of a point, an array of times t_i, the
-    numeric limit of frac(alpha * t_i); two presentations of one point must agree within
-    2 * tol_limit (checked by the caller against each other).
+    numeric limit of frac(alpha * t_i); two presentations of one point
+    must agree within 2 * tol_limit (checked by the caller against each
+    other).
 
     Raises NonConvergentError when a presentation's last `tail` orbit
     points spread more than TOL_ORBIT, so it is no f-sequence of `orbit`.
